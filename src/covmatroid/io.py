@@ -158,7 +158,11 @@ def parse_document(text: str) -> InputDocument:
 
 def parse_file(path: str) -> InputDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ParseError("input is not valid UTF-8") from None
+    return parse_document(text)
 
 
 def render_covering_document(c: CapacitatedCovering) -> str:

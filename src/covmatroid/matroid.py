@@ -202,12 +202,10 @@ class Matroid:
         )
 
     def is_identically_self_dual(self, cap: int = DEFAULT_ENUM_CAP) -> bool:
-        """True iff M and M* have the same independent family (not merely
-        isomorphic)."""
-        return (
-            self.independent_family(cap).bitset()
-            == self.dual().independent_family(cap).bitset()
-        )
+        """True iff M = M* (not merely isomorphic): as B(M*) = {U−B : B ∈ B(M)},
+        iff the base family is closed under complement in U."""
+        bases = self.bases(cap).bitset()
+        return all(self.ground.full_mask & ~b in bases for b in bases)
 
     # -- misc -------------------------------------------------------------
 

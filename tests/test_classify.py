@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from covmatroid import (
     GroundSet,
+    IndexedFamily,
     Matroid,
     PartitionWitness,
     ValidationError,
@@ -14,7 +17,10 @@ from covmatroid import (
     CapacitatedCovering,
     covering_matroid,
     partition_circuit_matroid,
+    transversal_matroid,
 )
+
+from conftest import random_covering
 
 
 def free_matroid(n):
@@ -109,7 +115,6 @@ class TestClassify:
     def test_pair_partition_report(self):
         g = GroundSet("abcd")
         report = classify(all_ones_partition(g, [["a", "b"], ["c", "d"]]))
-        assert report.is_matroid
         assert report.is_2_circuit
         assert report.is_partition_circuit
         assert report.is_double_circuit
@@ -120,7 +125,6 @@ class TestClassify:
 
     def test_example2_report(self):
         report = classify(example2_matroid())
-        assert report.is_matroid
         assert not report.is_2_circuit
         assert report.is_partition_circuit
         assert not report.is_double_circuit
@@ -149,3 +153,66 @@ class TestClassify:
         regen2 = partition_circuit_matroid(report.partition_circuit_witness)
         assert (regen2.independent_family().bitset()
                 == m.independent_family().bitset())
+
+
+def random_partition_matroid(rng, n):
+    """A partition matroid on n elements; a third of the even-n draws are
+    all-ones pair partitions, the double-circuit case."""
+    g = GroundSet(f"x{i}" for i in range(n))
+    elems = list(range(n))
+    rng.shuffle(elems)
+    if n % 2 == 0 and rng.random() < 1 / 3:
+        blocks = [elems[i:i + 2] for i in range(0, n, 2)]
+        caps = [1] * len(blocks)
+    else:
+        blocks = []
+        while elems:
+            size = rng.randint(1, len(elems))
+            blocks.append(elems[:size])
+            elems = elems[size:]
+        caps = [rng.randint(0, len(b)) for b in blocks]
+    labels = [[f"x{e}" for e in b] for b in blocks]
+    return partition_matroid(PartitionWitness.from_labels(g, labels, caps))
+
+
+def random_matroid(rng, kind, n):
+    if kind == "covering":
+        return covering_matroid(
+            random_covering(rng, n, rng.randint(1, 4), kmax=2, kmin=0)
+        )
+    if kind == "partition":
+        return random_partition_matroid(rng, n)
+    cov = random_covering(rng, n, rng.randint(1, 5))
+    return transversal_matroid(IndexedFamily(cov.ground, cov.blocks))
+
+
+@pytest.mark.parametrize("kind", ["covering", "partition", "transversal"])
+def test_classify_matches_definitions(kind):
+    """Each flag equals its definition-level reference, and each witness
+    regenerates the matroid."""
+    rng = random.Random(f"classify-{kind}")
+    for _ in range(150):
+        m = random_matroid(rng, kind, rng.randint(1, 8))
+        report = classify(m)
+        fam = m.independent_family()
+        circuits = m.circuits()
+        assert report.circuit_size_multiset == tuple(
+            sorted(c.cardinality for c in circuits)
+        )
+        assert report.is_2_circuit == is_2_circuit(m)
+        assert report.is_partition_circuit == is_partition_circuit(m)[0]
+        assert report.is_double_circuit == is_double_circuit(m)
+        self_dual = fam.bitset() == m.dual().independent_family().bitset()
+        assert report.is_identically_self_dual == self_dual
+        assert m.is_identically_self_dual() == self_dual
+        if report.two_circuit_witness is not None:
+            regen = partition_matroid(report.two_circuit_witness)
+            assert regen.independent_family() == fam
+        if report.partition_circuit_witness is not None:
+            regen = partition_circuit_matroid(report.partition_circuit_witness)
+            assert regen.independent_family() == fam
+        assert (report.two_circuit_witness is not None) == report.is_2_circuit
+        assert (
+            (report.partition_circuit_witness is not None)
+            == report.is_partition_circuit
+        )

@@ -189,6 +189,29 @@ class TestExitCodes:
         code, _ = run("approx", fx("example1.txt"), "--set", "a", "--matroidal")
         assert code == 4
 
+    def test_non_utf8_input_is_1_with_empty_stdout(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(
+            b"format: 1\nkind: covering\nuniverse: a b\nblock: a b # \xff\xfe\n"
+        )
+        assert run("rank", str(path), "--set", "a") == (1, "")
+
+    def test_verify_size_limit_prints_nothing(self, tmp_path):
+        # five blocks exceed the brute-force union oracle's m ≤ 4
+        path = tmp_path / "five_blocks.txt"
+        path.write_text(
+            "format: 1\nkind: covering\nuniverse: a b c d e f\n"
+            + "".join(f"block: {p}\n" for p in ("a b", "b c", "c d", "d e", "e f"))
+        )
+        assert run("independents", str(path), "--verify") == (2, "")
+
+    def test_rank_verify_size_limit_prints_nothing(self):
+        labels = ",".join(f"e{i:02d}" for i in range(21))
+        code, text = run(
+            "rank", fx("big_universe.txt"), "--set", labels, "--verify"
+        )
+        assert (code, text) == (2, "")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
