@@ -92,24 +92,59 @@ def _print_family(fam: SetFamily, out) -> None:
         print(format_set(member), file=out)
 
 
-def _verify_independents(doc: InputDocument, fam: SetFamily) -> str:
+def _verify_independents(doc: InputDocument, fam: SetFamily) -> frozenset[int]:
+    """Check ``fam`` subset by subset against the brute-force oracle and
+    return the subsets the oracle calls independent."""
     if doc.kind in ("covering", "partition"):
         cov = doc.covering()
         slices = [
             k_rank_matroid(cov.ground, b, k)
             for b, k in zip(cov.blocks, cov.capacities)
         ]
-        for bits in range(1 << doc.ground.n):
-            x = doc.ground.mask(bits)
-            if oracle.bf_union_independent(slices, x) != fam.contains_bits(bits):
-                raise VerifyMismatch(f"independence mismatch at X={format_set(x)}")
+        bf = functools.partial(oracle.bf_union_independent, slices)
+        mismatch = "independence mismatch at X="
     else:
-        f = doc.family()
-        for bits in range(1 << doc.ground.n):
-            x = doc.ground.mask(bits)
-            if oracle.bf_matching(f, x) != fam.contains_bits(bits):
-                raise VerifyMismatch(f"transversal mismatch at T={format_set(x)}")
+        bf = functools.partial(oracle.bf_matching, doc.family())
+        mismatch = "transversal mismatch at T="
+    members = []
+    for bits in range(1 << doc.ground.n):
+        x = doc.ground.mask(bits)
+        verdict = bf(x)
+        if verdict != fam.contains_bits(bits):
+            raise VerifyMismatch(mismatch + format_set(x))
+        if verdict:
+            members.append(bits)
+    return frozenset(members)
+
+
+def _verify_ok(doc: InputDocument) -> str:
     return f"verify: OK ({1 << doc.ground.n} subsets)"
+
+
+# The brute-force independent family is closed under subsets by definition
+# (a subset of a union of independent parts, or of a matchable set, is one
+# too).  So a set is a minimal non-member iff dropping any one element gives
+# a member, and a maximal member iff adding any one element gives a
+# non-member.
+
+
+def _bf_circuits(doc: InputDocument, indep: frozenset[int]) -> frozenset[int]:
+    n = doc.ground.n
+    return frozenset(
+        bits
+        for bits in range(1 << n)
+        if bits not in indep
+        and all(bits & ~(1 << i) in indep for i in range(n) if bits >> i & 1)
+    )
+
+
+def _bf_bases(doc: InputDocument, indep: frozenset[int]) -> frozenset[int]:
+    n = doc.ground.n
+    return frozenset(
+        bits
+        for bits in indep
+        if all(bits | (1 << i) not in indep for i in range(n) if not bits >> i & 1)
+    )
 
 
 def cmd_axioms(doc: InputDocument, args, out) -> None:
@@ -123,28 +158,35 @@ def cmd_axioms(doc: InputDocument, args, out) -> None:
 
 def cmd_independents(doc: InputDocument, args, out) -> None:
     fam = _document_matroid(doc).independent_family()
-    verdict = _verify_independents(doc, fam) if args.verify else None
+    if args.verify:
+        _verify_independents(doc, fam)
     _print_family(fam, out)
-    if verdict:
-        print(verdict, file=out)
+    if args.verify:
+        print(_verify_ok(doc), file=out)
 
 
 def cmd_circuits(doc: InputDocument, args, out) -> None:
     m = _document_matroid(doc)
     circuits = m.circuits()
-    verdict = _verify_independents(doc, m.independent_family()) if args.verify else None
+    if args.verify:
+        indep = _verify_independents(doc, m.independent_family())
+        if _bf_circuits(doc, indep) != circuits.bitset():
+            raise VerifyMismatch("circuits mismatch against brute-force circuits")
     _print_family(circuits, out)
-    if verdict:
-        print(verdict, file=out)
+    if args.verify:
+        print(_verify_ok(doc), file=out)
 
 
 def cmd_bases(doc: InputDocument, args, out) -> None:
     m = _document_matroid(doc)
     bases = m.bases()
-    verdict = _verify_independents(doc, m.independent_family()) if args.verify else None
+    if args.verify:
+        indep = _verify_independents(doc, m.independent_family())
+        if _bf_bases(doc, indep) != bases.bitset():
+            raise VerifyMismatch("bases mismatch against brute-force bases")
     _print_family(bases, out)
-    if verdict:
-        print(verdict, file=out)
+    if args.verify:
+        print(_verify_ok(doc), file=out)
 
 
 def cmd_rank(doc: InputDocument, args, out) -> None:

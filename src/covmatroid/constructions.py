@@ -19,12 +19,10 @@ from .core import (
 )
 from .matroid import Matroid
 
-#: Matchings are memoized per handle only while the state table stays small.
-_MEMO_CAP = 16
-
-#: With few blocks the maximum flow is evaluated as the minimum cut over
-#: block subsets instead of by augmenting paths; 2^m stays negligible here.
-_CUT_CAP = 6
+#: With at most this many live (positive-capacity) blocks the maximum flow
+#: is evaluated as the minimum cut over block subsets instead of by
+#: augmenting paths; at this size the pruned cut table stays short.
+_CUT_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -153,110 +151,83 @@ class _MatchingOracle:
     Elements of a query set sit on one side; block i accepts up to caps[i]
     of its own elements.  A set is independent iff a full assignment exists.
 
-    With at most ``_CUT_CAP`` blocks the flow value is computed as the
-    minimum cut over block subsets B (max-flow min-cut): the elements whose
-    every admissible block lies in B must fit within B's total capacity, and
-    the flow equals |X| minus the worst deficiency.  With more blocks the
-    oracle falls back to augmenting paths, memoized per instance keyed on
-    the query bitmask (the state for X extends the state for X minus its
-    highest element), so scanning many subsets in ascending order reuses
-    earlier augmentations.
+    Zero-capacity blocks are dropped first: such a block takes no element,
+    so it can never improve a cut or an assignment.  The path is chosen once,
+    by the number of live blocks left:
+
+    * at most ``_CUT_CAP``: the flow value is the minimum cut over block
+      subsets B (max-flow min-cut).  The elements whose every admissible
+      block lies in B must fit within B's total capacity, and the flow equals
+      |X| minus the worst deficiency.
+    * more: augmenting paths from an empty assignment on every query, each
+      block keeping the list of the elements it holds.
+
+    Neither path keeps per-handle state that grows with queries.
     """
 
-    __slots__ = ("n", "caps", "adj", "_memo", "_cuts")
+    __slots__ = ("caps", "adj", "_cuts")
 
     def __init__(self, n: int, block_bits: Sequence[int], caps: Sequence[int]):
-        self.n = n
-        self.caps = tuple(caps)
-        m = len(block_bits)
+        live = [(bb, k) for bb, k in zip(block_bits, caps) if k > 0]
+        self.caps = tuple(k for _, k in live)
+        self.adj: Optional[tuple[tuple[int, ...], ...]] = None
         self._cuts: Optional[tuple[tuple[int, int], ...]] = None
-        if m <= _CUT_CAP:
+        if len(live) <= _CUT_CAP:
             full = (1 << n) - 1
             cuts = []
-            for sel in range(1 << m):
+            for sel in range(1 << len(live)):
                 outside = 0
                 capsum = 0
-                for i in range(m):
+                for i, (bb, k) in enumerate(live):
                     if sel >> i & 1:
-                        capsum += caps[i]
+                        capsum += k
                     else:
-                        outside |= block_bits[i]
+                        outside |= bb
                 only = full & ~outside
                 # Cuts that can never be deficient are dropped up front.
                 if only and only.bit_count() > capsum:
                     cuts.append((only, capsum))
             self._cuts = tuple(cuts)
-        # The augmenting-path fallback and its adjacency lists are only
-        # materialized when the cut path is unavailable.
-        self.adj = (
-            None
-            if self._cuts is not None
-            else tuple(
-                tuple(
-                    i
-                    for i, kb in enumerate(block_bits)
-                    if (kb >> e) & 1 and caps[i] > 0
-                )
+        else:
+            self.adj = tuple(
+                tuple(i for i, (bb, _) in enumerate(live) if bb >> e & 1)
                 for e in range(n)
             )
-        )
-        self._memo: Optional[dict[int, tuple[int, tuple[int, ...], tuple]]] = (
-            {0: (0, (0,) * len(caps), ())}
-            if self._cuts is None and n <= _MEMO_CAP
-            else None
-        )
 
-    def _augment(self, x: int, loads: list[int], assign: dict[int, int]) -> bool:
+    def _unplaced(self, bits: int, first_only: bool) -> int:
+        """How many elements of ``bits`` find no augmenting path when placed
+        in ascending order; with ``first_only`` it stops at the first."""
         caps = self.caps
         adj = self.adj
+        held: list[list[int]] = [[] for _ in caps]
 
-        def dfs(u: int, visited: int) -> tuple[bool, int]:
+        def place(u: int, seen: set[int]) -> bool:
             for i in adj[u]:
-                bit = 1 << i
-                if visited & bit:
+                if i in seen:
                     continue
-                visited |= bit
-                if loads[i] < caps[i]:
-                    loads[i] += 1
-                    assign[u] = i
-                    return True, visited
-                for y, b in list(assign.items()):
-                    if b != i:
-                        continue
-                    ok, visited = dfs(y, visited)
-                    if ok:
-                        assign[u] = i
-                        return True, visited
-            return False, visited
+                seen.add(i)
+                holders = held[i]
+                if len(holders) < caps[i]:
+                    holders.append(u)
+                    return True
+                # Block i is in ``seen``, so the recursion never touches
+                # ``holders`` while it is being scanned.
+                for j, y in enumerate(holders):
+                    if place(y, seen):
+                        holders[j] = u
+                        return True
+            return False
 
-        ok, _ = dfs(x, 0)
-        return ok
-
-    def _state(self, bits: int) -> tuple[int, tuple[int, ...], tuple]:
-        memo = self._memo
-        if memo is not None:
-            cached = memo.get(bits)
-            if cached is not None:
-                return cached
-            x = bits.bit_length() - 1
-            size, loads_t, assign_t = self._state(bits & ~(1 << x))
-            loads = list(loads_t)
-            assign = dict(assign_t)
-            if self._augment(x, loads, assign):
-                size += 1
-            state = (size, tuple(loads), tuple(assign.items()))
-            memo[bits] = state
-            return state
-        loads = [0] * len(self.caps)
-        assign: dict[int, int] = {}
-        size = 0
+        missed = 0
         rest = bits
         while rest:
             low = rest & -rest
             rest ^= low
-            if self._augment(low.bit_length() - 1, loads, assign):
-                size += 1
-        return (size, tuple(loads), tuple(assign.items()))
+            if not place(low.bit_length() - 1, set()):
+                missed += 1
+                if first_only:
+                    break
+        return missed
 
     def matching_size(self, bits: int) -> int:
         cuts = self._cuts
@@ -267,7 +238,7 @@ class _MatchingOracle:
                 if d > deficiency:
                     deficiency = d
             return bits.bit_count() - deficiency
-        return self._state(bits)[0]
+        return bits.bit_count() - self._unplaced(bits, False)
 
     def saturates(self, bits: int) -> bool:
         cuts = self._cuts
@@ -276,21 +247,7 @@ class _MatchingOracle:
                 if (bits & only).bit_count() > capsum:
                     return False
             return True
-        return self._state(bits)[0] == bits.bit_count()
-
-    def saturation_fn(self):
-        """The saturation test with per-call attribute lookups hoisted."""
-        cuts = self._cuts
-        if cuts is None:
-            return self.saturates
-
-        def indep(bits: int) -> bool:
-            for only, capsum in cuts:
-                if (bits & only).bit_count() > capsum:
-                    return False
-            return True
-
-        return indep
+        return not self._unplaced(bits, True)
 
 
 def k_rank_matroid(ground: GroundSet, block: SubsetMask, k: int) -> Matroid:
@@ -386,7 +343,7 @@ def covering_matroid(c: CapacitatedCovering) -> Matroid:
     )
     return Matroid(
         c.ground,
-        engine.saturation_fn(),
+        engine.saturates,
         rank_hint=engine.matching_size,
         provenance="covering",
         source=c,

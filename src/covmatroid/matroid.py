@@ -204,6 +204,11 @@ class Matroid:
     def is_identically_self_dual(self, cap: int = DEFAULT_ENUM_CAP) -> bool:
         """True iff M = M* (not merely isomorphic): as B(M*) = {U−B : B ∈ B(M)},
         iff the base family is closed under complement in U."""
+        check_enum_cap(self.ground.n, cap)
+        # A base complement has n − r(U) elements, so it can be a base only
+        # when 2·r(U) = n.
+        if 2 * self.rank_bits(self.ground.full_mask) != self.ground.n:
+            return False
         bases = self.bases(cap).bitset()
         return all(self.ground.full_mask & ~b in bases for b in bases)
 

@@ -216,3 +216,25 @@ def test_classify_matches_definitions(kind):
             (report.partition_circuit_witness is not None)
             == report.is_partition_circuit
         )
+
+
+@pytest.mark.parametrize("kind", ["covering", "partition", "transversal"])
+def test_self_duality_off_half_rank_skips_bases(kind, monkeypatch):
+    """With 2·r(U) ≠ n no base complement is a base: the answer comes
+    without enumerating bases and still matches the definition."""
+    rng = random.Random(f"off-half-rank-{kind}")
+    cases = []
+    while len(cases) < 40:
+        m = random_matroid(rng, kind, rng.randint(1, 8))
+        if 2 * m.rank_bits(m.ground.full_mask) != m.ground.n:
+            self_dual = (m.independent_family().bitset()
+                         == m.dual().independent_family().bitset())
+            cases.append((m, self_dual))
+
+    def no_bases(self, *args, **kwargs):
+        raise AssertionError("bases() enumerated although 2·r(U) ≠ n")
+
+    monkeypatch.setattr(Matroid, "bases", no_bases)
+    for m, self_dual in cases:
+        assert m.is_identically_self_dual() == self_dual
+        assert classify(m).is_identically_self_dual == self_dual

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from covmatroid import Matroid, SetFamily
 from covmatroid.cli import main
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -211,6 +212,22 @@ class TestExitCodes:
             "rank", fx("big_universe.txt"), "--set", labels, "--verify"
         )
         assert (code, text) == (2, "")
+
+    @pytest.mark.parametrize("method, argv", [
+        ("circuits", ["circuits", fx("example1.txt"), "--verify"]),
+        ("circuits", ["circuits", fx("family3.txt"), "--verify"]),
+        ("bases", ["bases", fx("example1.txt"), "--verify"]),
+        ("bases", ["bases", fx("family3.txt"), "--verify"]),
+    ])
+    def test_verify_checks_the_printed_list(self, monkeypatch, method, argv):
+        honest = getattr(Matroid, method)
+
+        def drop_first(self, *args, **kwargs):
+            fam = honest(self, *args, **kwargs)
+            return SetFamily(fam.ground, fam.members[1:])
+
+        monkeypatch.setattr(Matroid, method, drop_first)
+        assert run(*argv) == (4, "")
 
 
 class TestDeterminism:

@@ -1,7 +1,9 @@
 import random
+from collections import deque
 
 import pytest
 
+from covmatroid import constructions
 from covmatroid import (
     CapacitatedCovering,
     GroundSet,
@@ -364,3 +366,89 @@ class TestCoveringMatroidSlice:
                 kr = k_rank_matroid(cov.ground, cov.blocks[i],
                                     cov.capacities[i])
                 assert slice_fam == kr.independent_family()
+
+
+def edmonds_karp(bits, blocks, caps):
+    """Maximum flow source → elements of ``bits`` (capacity 1) → the blocks
+    holding them → sink (capacity caps[j]), by BFS augmenting paths."""
+    elems = [e for e in range(bits.bit_length()) if bits >> e & 1]
+    source, sink = "s", "t"
+    residual = {source: {}, sink: {}}
+    for e in elems:
+        residual[source][e] = 1
+        residual[e] = {("b", j): 1 for j, b in enumerate(blocks) if b >> e & 1}
+    for j, k in enumerate(caps):
+        residual.setdefault(("b", j), {})[sink] = k
+    flow = 0
+    while True:
+        prev = {source: None}
+        queue = deque([source])
+        while queue and sink not in prev:
+            u = queue.popleft()
+            for v, c in residual[u].items():
+                if c > 0 and v not in prev:
+                    prev[v] = u
+                    queue.append(v)
+        if sink not in prev:
+            return flow
+        v = sink
+        while prev[v] is not None:
+            u = prev[v]
+            residual[u][v] -= 1
+            residual[v][u] = residual[v].get(u, 0) + 1
+            v = u
+        flow += 1
+
+
+def random_query(rng, n):
+    """A subset of an n-element universe at a random density."""
+    bits = rng.randrange(1 << n)
+    for _ in range(rng.randint(0, 2)):
+        bits &= rng.randrange(1 << n)
+    return bits
+
+
+class TestMatchingPaths:
+    """Both engine paths, forced by ``_CUT_CAP``, against a max-flow that
+    shares no code with the package, on 7–14 blocks over up to 64 elements."""
+
+    def instances(self):
+        rng = random.Random(41)
+        out = []
+        for _ in range(8):
+            cov = random_covering(rng, rng.randint(8, 64), rng.randint(7, 14),
+                                  kmax=3, kmin=0)
+            out.append((covering_matroid, cov, [b.bits for b in cov.blocks],
+                        list(cov.capacities)))
+            fam_ = random_indexed_family(rng, rng.randint(8, 64),
+                                         rng.randint(7, 14))
+            out.append((transversal_matroid, fam_, [m.bits for m in fam_.members],
+                        [1] * len(fam_.members)))
+        assert any(0 in caps for _, _, _, caps in out)
+        return out
+
+    @pytest.mark.parametrize("cut_cap", [0, 14])
+    def test_indep_and_rank_match_max_flow(self, monkeypatch, cut_cap):
+        monkeypatch.setattr(constructions, "_CUT_CAP", cut_cap)
+        rng = random.Random(43 + cut_cap)
+        for build, source, blocks, caps in self.instances():
+            n = source.ground.n
+            engine = constructions._MatchingOracle(n, blocks, caps)
+            assert (engine._cuts is None) == (cut_cap == 0)
+            m = build(source)
+            for _ in range(25):
+                bits = random_query(rng, n)
+                flow = edmonds_karp(bits, blocks, caps)
+                assert m.rank_bits(bits) == flow
+                assert m.indep_bits(bits) == (flow == bits.bit_count())
+
+    def test_slice_of_ten_blocks_equals_k_rank(self):
+        rng = random.Random(47)
+        cov = random_covering(rng, 64, 10, kmax=4, kmin=0)
+        for i in range(cov.m):
+            slc = covering_matroid_slice(cov, i)
+            kr = k_rank_matroid(cov.ground, cov.blocks[i], cov.capacities[i])
+            for _ in range(40):
+                bits = random_query(rng, 64)
+                assert slc.indep_bits(bits) == kr.indep_bits(bits)
+                assert slc.rank_bits(bits) == kr.rank_bits(bits)
