@@ -121,11 +121,11 @@ def _verify_ok(doc: InputDocument) -> str:
     return f"verify: OK ({1 << doc.ground.n} subsets)"
 
 
-# The brute-force independent family is closed under subsets by definition
-# (a subset of a union of independent parts, or of a matchable set, is one
-# too).  So a set is a minimal non-member iff dropping any one element gives
-# a member, and a maximal member iff adding any one element gives a
-# non-member.
+# The brute-force independent families are closed under subsets by
+# definition (a subset of a union of independent parts, of a matchable set
+# or of a base complement is one too).  So a set is a minimal non-member iff
+# dropping any one element gives a member, and a maximal member iff adding
+# any one element gives a non-member.
 
 
 def _bf_circuits(doc: InputDocument, indep: frozenset[int]) -> frozenset[int]:
@@ -221,10 +221,8 @@ def cmd_dual(doc: InputDocument, args, out) -> None:
     m = _document_matroid(doc)
     bases = m.dual().bases()
     if args.verify:
-        from .core import family_max
-
-        bf = family_max(oracle.bf_dual_family(m))
-        if bf != bases:
+        bf = oracle.bf_dual_family(m).bitset()
+        if _bf_bases(doc, bf) != bases.bitset():
             raise VerifyMismatch("dual bases mismatch against base-complement family")
     _print_family(bases, out)
     if args.verify:

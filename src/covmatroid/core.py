@@ -70,7 +70,7 @@ class GroundSet:
 
     def subsets(self) -> Iterator[SubsetMask]:
         """All subsets in canonical order (cardinality, then index-lex)."""
-        for bits in sorted(range(1 << self.n), key=_canonical_bits_key):
+        for bits in sorted(range(1 << self.n), key=_canonical_sort_key(self.n)):
             yield SubsetMask(self, bits)
 
     def __eq__(self, other: object) -> bool:
@@ -94,8 +94,19 @@ def _indices(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _canonical_bits_key(bits: int) -> tuple[int, tuple[int, ...]]:
-    return (bits.bit_count(), _indices(bits))
+def _canonical_sort_key(n: int) -> Callable[[int], int]:
+    """An integer key that orders the subsets of an n-element ground set as
+    :meth:`SubsetMask.canonical_key` does.  The cardinality fills the high bits.
+    Below it, the mask is bit-reversed and complemented, so two sets of
+    equal size compare by the smallest element of their symmetric
+    difference: the set holding it comes first."""
+    full = (1 << n) - 1
+    fmt = f"0{n}b"
+
+    def key(bits: int) -> int:
+        return (bits.bit_count() << n) | (full ^ int(format(bits, fmt)[::-1], 2))
+
+    return key
 
 
 @dataclass(frozen=True)
@@ -144,7 +155,7 @@ class SubsetMask:
         return self.bits != 0
 
     def canonical_key(self) -> tuple[int, tuple[int, ...]]:
-        return _canonical_bits_key(self.bits)
+        return (self.cardinality, self.indices())
 
     def __repr__(self) -> str:
         return format_set(self)
@@ -176,12 +187,24 @@ class SetFamily:
                 masks.append(m.bits)
             else:
                 masks.append(int(m))
-        bitset = set(masks)
+        bitset = frozenset(masks)
         if len(bitset) != len(masks):
             raise ValidationError("duplicate members are forbidden in a set family")
-        self._bitset = frozenset(bitset)
+        self._fill(sorted(bitset, key=_canonical_sort_key(ground.n)), bitset)
+
+    @classmethod
+    def _canonical(cls, ground: GroundSet, ordered: list[int]) -> SetFamily:
+        """A family of masks that are already distinct and in canonical
+        order, taken as they are: no sort and no duplicate check."""
+        fam = cls.__new__(cls)
+        fam.ground = ground
+        fam._fill(ordered, frozenset(ordered))
+        return fam
+
+    def _fill(self, ordered: list[int], bitset: frozenset[int]) -> None:
+        self._bitset = bitset
         self.members: tuple[SubsetMask, ...] = tuple(
-            SubsetMask(ground, b) for b in sorted(bitset, key=_canonical_bits_key)
+            SubsetMask(self.ground, b) for b in ordered
         )
 
     @classmethod

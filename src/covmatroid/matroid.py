@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Callable, Optional
+from itertools import combinations, permutations
+from typing import Callable, Iterator, Optional
 
 from .core import (
     DEFAULT_ENUM_CAP,
@@ -65,6 +65,11 @@ class Matroid:
     ``indep_bits`` decides independence of an integer bitmask; ``rank_hint``
     is an optional closed-form rank function, audited against greedy rank at
     construction time.
+
+    Precondition: the oracle is hereditary (I2: every subset of an
+    independent set is independent).  The enumerations extend independent
+    sets only, so on an oracle that breaks I2 they miss sets; every handle
+    the package builds satisfies it.
     """
 
     __slots__ = ("ground", "indep_bits", "rank_hint", "provenance", "source")
@@ -137,42 +142,68 @@ class Matroid:
 
     # -- enumerations -----------------------------------------------------
 
-    def independent_family(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:
-        check_enum_cap(self.ground.n, cap)
-        indep = self.indep_bits
-        return SetFamily(
-            self.ground, [b for b in range(1 << self.ground.n) if indep(b)]
-        )
+    def _levels(self) -> Iterator[tuple[list[int], list[int]]]:
+        """The independent sets and the circuits of each size k ≥ 1, level by
+        level, each list in canonical (index-lex) order.
 
-    def circuits(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:
-        """Minimal dependent sets, by ascending-cardinality enumeration.
-
-        Supersets of found circuits are pruned, so the dependent family is
-        never materialized.
+        Level k+1's candidates extend each independent set I of level k, in
+        order, by each element above I's largest.  Extending a lex-ordered
+        level in ascending order gives lex order again, and by I2 every
+        independent set and every circuit has an independent prefix, so each
+        is met exactly once.  The independent candidates form level k+1.  A
+        dependent candidate is a circuit iff dropping any one element of I
+        leaves a member of level k (dropping the new element leaves I).
         """
-        check_enum_cap(self.ground.n, cap)
         n = self.ground.n
         indep = self.indep_bits
-        found: list[int] = []
-        by_size: list[list[int]] = [[] for _ in range(n + 1)]
-        for b in range(1 << n):
-            by_size[b.bit_count()].append(b)
-        for size in range(1, n + 1):
-            for b in by_size[size]:
-                if any(c & ~b == 0 for c in found):
-                    continue
-                if not indep(b):
-                    found.append(b)
-        return SetFamily(self.ground, found)
+        level = [0]
+        while level:
+            members = set(level)
+            nxt: list[int] = []
+            circuits: list[int] = []
+            for i in level:
+                for e in range(i.bit_length(), n):
+                    c = i | 1 << e
+                    if indep(c):
+                        nxt.append(c)
+                        continue
+                    rest = i
+                    while rest:
+                        low = rest & -rest
+                        if c ^ low not in members:
+                            break
+                        rest ^= low
+                    else:
+                        circuits.append(c)
+            yield nxt, circuits
+            level = nxt
+
+    def independent_family(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:
+        check_enum_cap(self.ground.n, cap)
+        ordered = [0]
+        for level, _ in self._levels():
+            ordered += level
+        return SetFamily._canonical(self.ground, ordered)
+
+    def circuits(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:
+        """Minimal dependent sets: the dependent one-element extensions of
+        independent sets whose one-element deletions are all independent."""
+        check_enum_cap(self.ground.n, cap)
+        ordered: list[int] = []
+        for _, circuits in self._levels():
+            ordered += circuits
+        return SetFamily._canonical(self.ground, ordered)
 
     def bases(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:
-        """Maximal independent sets; all have cardinality rank(U)."""
+        """Maximal independent sets; all have cardinality rank(U), so only
+        the rank(U)-subsets are tried, in canonical order."""
         check_enum_cap(self.ground.n, cap)
         r = self.rank_bits(self.ground.full_mask)
         indep = self.indep_bits
-        return SetFamily(
+        singles = [1 << e for e in range(self.ground.n)]
+        return SetFamily._canonical(
             self.ground,
-            [b for b in range(1 << self.ground.n) if b.bit_count() == r and indep(b)],
+            [b for b in map(sum, combinations(singles, r)) if indep(b)],
         )
 
     # -- duality ----------------------------------------------------------
@@ -255,22 +286,24 @@ def check_independence_axioms(
             return AxiomCertificate(
                 VIOLATES_I2, (member, SubsetMask(family.ground, worst))
             )
-    # I3: exchange property, pairs scanned in canonical order.
+    # I3: exchange property, pairs scanned in canonical order.  Once I2
+    # holds, a larger member that i1 cannot borrow from has a subset of size
+    # |i1|+1 that is a member, fails too and comes earlier in canonical
+    # order.  So only pairs whose sizes differ by one need checking, and the
+    # first failing pair is the same as over all pairs.
     members = family.members
+    by_size: list[list[SubsetMask]] = [[] for _ in range(family.ground.n + 2)]
+    for member in members:
+        by_size[member.cardinality].append(member)
     for i1 in members:
-        for i2 in members:
-            if i1.cardinality >= i2.cardinality:
-                continue
-            diff = i2.bits & ~i1.bits
-            ok = False
-            rest = diff
+        for i2 in by_size[i1.cardinality + 1]:
+            rest = i2.bits & ~i1.bits
             while rest:
                 low = rest & -rest
                 rest ^= low
                 if (i1.bits | low) in bitset:
-                    ok = True
                     break
-            if not ok:
+            else:
                 return AxiomCertificate(VIOLATES_I3, (i1, i2))
     return AxiomCertificate(MATROID)
 

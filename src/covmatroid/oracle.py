@@ -158,10 +158,15 @@ def bf_matching(f: IndexedFamily, t: SubsetMask) -> bool:
 
 def bf_dual_family(m: Matroid, cap: int = _BF_DUAL_CAP) -> SetFamily:
     """Independent family of the dual, materialized as all subsets of
-    base-complements."""
-    if m.ground.n > cap:
+    base-complements.  The bases are the largest independent sets of a
+    plain scan over every subset, not ``m.bases()``."""
+    n = m.ground.n
+    if n > cap:
         raise SizeLimitError(f"brute-force dual is capped at n ≤ {cap}")
-    complements = [b.complement().bits for b in m.bases(cap)]
+    indep = [bits for bits in range(1 << n) if m.indep_bits(bits)]
+    r = max(bits.bit_count() for bits in indep)
+    full = m.ground.full_mask
+    complements = [full ^ bits for bits in indep if bits.bit_count() == r]
     members = set()
     for comp in complements:
         sub = comp

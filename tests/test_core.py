@@ -130,6 +130,24 @@ class TestFamilyProperties:
             assert pred(x) != (x in f)
 
 
+@given(st.integers(min_value=1, max_value=16).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(
+        st.integers(min_value=0, max_value=(1 << n) - 1), max_size=40))))
+def test_family_order_is_the_canonical_key_sort(case):
+    n, members = case
+    g = GroundSet(f"x{i}" for i in range(n))
+    expected = sorted((g.mask(b) for b in members), key=lambda x: x.canonical_key())
+    assert list(SetFamily(g, members).members) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_subsets_in_canonical_key_order(n):
+    g = GroundSet(f"x{i}" for i in range(n))
+    expected = sorted((g.mask(b) for b in range(1 << n)),
+                      key=lambda x: x.canonical_key())
+    assert list(g.subsets()) == expected
+
+
 class TestOpp:
     def test_full_powerset_gives_constant_false(self):
         g = GroundSet("ab")

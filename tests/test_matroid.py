@@ -4,6 +4,7 @@ import pytest
 
 from covmatroid import (
     GroundSet,
+    IndexedFamily,
     Matroid,
     SetFamily,
     SizeLimitError,
@@ -15,8 +16,12 @@ from covmatroid import (
     PartitionWitness,
     CapacitatedCovering,
     covering_matroid,
+    naive_covering_family,
+    transversal_matroid,
 )
 from covmatroid.oracle import bf_rank
+
+from conftest import random_covering
 
 
 def fam(ground, *sets):
@@ -77,6 +82,30 @@ class TestAxiomCheck:
         g = GroundSet("abc")
         with pytest.raises(SizeLimitError):
             check_independence_axioms(fam(g, ""), cap=2)
+
+    def test_i3_witness_matches_a_full_pair_scan(self):
+        # Naive covering families satisfy I1 and I2, so the verdict turns on
+        # I3 alone; hold it to a scan over every pair of unequal sizes.
+        rng = random.Random(4)
+        violations = 0
+        for _ in range(300):
+            family = naive_covering_family(
+                random_covering(rng, rng.randint(2, 7), rng.randint(1, 4), kmax=2))
+            bitset = family.bitset()
+            expected = next(
+                ((i1, i2) for i1 in family for i2 in family
+                 if i1.cardinality < i2.cardinality
+                 and not any(i1.bits | 1 << e in bitset
+                             for e in (i2 - i1).indices())),
+                None)
+            cert = check_independence_axioms(family)
+            if expected is None:
+                assert cert.is_matroid
+            else:
+                violations += 1
+                assert cert.verdict == "violates_I3"
+                assert cert.witnesses == expected
+        assert violations > 20
 
 
 class TestRank:
@@ -162,6 +191,59 @@ class TestCircuitsBases:
         for bits in range(8):
             if not m.indep_bits(bits):
                 assert any(c.bits & ~bits == 0 for c in circuits)
+
+
+def _canonical(ground, bits):
+    return [ground.mask(b) for b in
+            sorted(bits, key=lambda b: ground.mask(b).canonical_key())]
+
+
+def _scan_definitions(m):
+    """Independent sets, circuits and bases of ``m`` by their definitions,
+    over every subset, in canonical order."""
+    n = m.ground.n
+    indep = {b for b in range(1 << n) if m.indep_bits(b)}
+    circuits = [b for b in range(1 << n) if b not in indep
+                and all(b & ~(1 << i) in indep for i in range(n) if b >> i & 1)]
+    r = max(b.bit_count() for b in indep)
+    bases = [b for b in indep if b.bit_count() == r]
+    return tuple(_canonical(m.ground, fam) for fam in (indep, circuits, bases))
+
+
+def _random_partition(rng, n):
+    g = GroundSet(f"x{i}" for i in range(n))
+    parts = [[] for _ in range(rng.randint(1, 4))]
+    for label in g.labels:
+        rng.choice(parts).append(label)
+    parts = [p for p in parts if p]
+    return partition_matroid(PartitionWitness.from_labels(
+        g, parts, [rng.randint(0, len(p)) for p in parts]))
+
+
+def _random_transversal(rng, n):
+    g = GroundSet(f"x{i}" for i in range(n))
+    members = [g.mask(rng.randrange(1 << n)) for _ in range(rng.randint(1, 7))]
+    return transversal_matroid(IndexedFamily(g, tuple(members)))
+
+
+_RANDOM_MATROIDS = {
+    "covering": lambda rng, n: covering_matroid(
+        random_covering(rng, n, rng.randint(1, 8), kmax=2, kmin=0)),
+    "partition": _random_partition,
+    "transversal": _random_transversal,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RANDOM_MATROIDS))
+def test_enumerations_match_powerset_definitions(kind):
+    rng = random.Random(f"enumerations:{kind}")
+    for n in (1, 3, 5, 7, 8, 9, 10, 11):
+        m = _RANDOM_MATROIDS[kind](rng, n)
+        for handle in (m, m.dual()):
+            indep, circuits, bases = _scan_definitions(handle)
+            assert list(handle.independent_family()) == indep
+            assert list(handle.circuits()) == circuits
+            assert list(handle.bases()) == bases
 
 
 class TestDual:
