@@ -133,19 +133,19 @@ def is_double_circuit(m: Matroid, cap: int = DEFAULT_ENUM_CAP) -> bool:
 
 
 def classify(m: Matroid, cap: int = DEFAULT_ENUM_CAP) -> ClassificationReport:
-    """Run all taxonomy predicates and collect witnesses, enumerating the
-    circuits once and M's independent family only to verify a witness."""
+    """Run all taxonomy predicates and collect witnesses from one walk of
+    M's levels: its circuits, and its independent family to verify a
+    witness."""
     circuits = m.circuits(cap)
     sizes = tuple(sorted(c.cardinality for c in circuits))
     two_circuit = all(s == 2 for s in sizes)
     two_witness = _two_circuit_witness(m.ground, circuits) if two_circuit else None
     pc_witness = _partition_circuit_witness(m.ground, circuits)
-    if two_witness or pc_witness:
-        fam = m.independent_family(cap)
-        if two_witness:
-            _verify_witness(fam, partition_matroid(two_witness), cap)
-        if pc_witness:
-            _verify_witness(fam, partition_circuit_matroid(pc_witness), cap)
+    if two_witness:
+        _verify_witness(m.independent_family(cap), partition_matroid(two_witness), cap)
+    if pc_witness:
+        _verify_witness(
+            m.independent_family(cap), partition_circuit_matroid(pc_witness), cap)
     self_dual = m.is_identically_self_dual(cap)
     # A 2-circuit M is the direct sum of its parallel classes U(1,p); each has
     # dual U(p-1,p), 2-circuit iff p = 2 iff U(1,p) is its own dual.  So M* is

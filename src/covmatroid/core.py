@@ -173,9 +173,11 @@ class SetFamily:
 
     Members are canonically ordered by (cardinality, index-lexicographic),
     so equal families compare equal structurally and serialize identically.
+    The masks are kept as integers; the ``members`` tuple of
+    :class:`SubsetMask` is built on first access and kept.
     """
 
-    __slots__ = ("ground", "members", "_bitset")
+    __slots__ = ("ground", "_ordered", "_members", "_bitset")
 
     def __init__(self, ground: GroundSet, members: Iterable[SubsetMask | int]):
         self.ground = ground
@@ -202,10 +204,15 @@ class SetFamily:
         return fam
 
     def _fill(self, ordered: list[int], bitset: frozenset[int]) -> None:
+        self._ordered = ordered
         self._bitset = bitset
-        self.members: tuple[SubsetMask, ...] = tuple(
-            SubsetMask(self.ground, b) for b in ordered
-        )
+        self._members: tuple[SubsetMask, ...] | None = None
+
+    @property
+    def members(self) -> tuple[SubsetMask, ...]:
+        if self._members is None:
+            self._members = tuple(SubsetMask(self.ground, b) for b in self._ordered)
+        return self._members
 
     @classmethod
     def from_labels(cls, ground: GroundSet, sets: Iterable[Iterable[str]]) -> SetFamily:
@@ -222,15 +229,15 @@ class SetFamily:
 
     def union_mask(self) -> SubsetMask:
         u = 0
-        for m in self.members:
-            u |= m.bits
+        for b in self._ordered:
+            u |= b
         return SubsetMask(self.ground, u)
 
     def __iter__(self) -> Iterator[SubsetMask]:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._ordered)
 
     def __eq__(self, other: object) -> bool:
         return (

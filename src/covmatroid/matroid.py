@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .core import (
     DEFAULT_ENUM_CAP,
@@ -70,9 +70,13 @@ class Matroid:
     independent set is independent).  The enumerations extend independent
     sets only, so on an oracle that breaks I2 they miss sets; every handle
     the package builds satisfies it.
+
+    A handle is immutable (its oracle is fixed at construction), so its
+    independent and circuit families come from one walk on first use and are
+    kept for its lifetime: near the enumeration cap, millions of masks.
     """
 
-    __slots__ = ("ground", "indep_bits", "rank_hint", "provenance", "source")
+    __slots__ = ("ground", "indep_bits", "rank_hint", "provenance", "source", "_families")
 
     def __init__(
         self,
@@ -89,6 +93,7 @@ class Matroid:
         self.rank_hint = rank_hint
         self.provenance = provenance
         self.source = source
+        self._families: Optional[tuple[SetFamily, SetFamily]] = None
 
     @classmethod
     def from_family(cls, family: SetFamily, provenance: str = "explicit") -> Matroid:
@@ -142,57 +147,52 @@ class Matroid:
 
     # -- enumerations -----------------------------------------------------
 
-    def _levels(self) -> Iterator[tuple[list[int], list[int]]]:
-        """The independent sets and the circuits of each size k ≥ 1, level by
-        level, each list in canonical (index-lex) order.
-
-        Level k+1's candidates extend each independent set I of level k, in
-        order, by each element above I's largest.  Extending a lex-ordered
-        level in ascending order gives lex order again, and by I2 every
-        independent set and every circuit has an independent prefix, so each
-        is met exactly once.  The independent candidates form level k+1.  A
-        dependent candidate is a circuit iff dropping any one element of I
-        leaves a member of level k (dropping the new element leaves I).
-        """
-        n = self.ground.n
-        indep = self.indep_bits
-        level = [0]
-        while level:
-            members = set(level)
-            nxt: list[int] = []
+    def _walk(self) -> tuple[SetFamily, SetFamily]:
+        """The independent and circuit families in canonical order, from one
+        level-wise walk on first use.  Level k+1 extends each independent
+        k-set I, in order, by each element above I's largest, which keeps
+        lex order; by I2 every independent set and every circuit has an
+        independent prefix, so each is met once.  A dependent extension is a
+        circuit iff dropping any one element of I leaves a member of level k
+        (dropping the new element leaves I)."""
+        if self._families is None:
+            n = self.ground.n
+            indep = self.indep_bits
+            independents = [0]
             circuits: list[int] = []
-            for i in level:
-                for e in range(i.bit_length(), n):
-                    c = i | 1 << e
-                    if indep(c):
-                        nxt.append(c)
-                        continue
-                    rest = i
-                    while rest:
-                        low = rest & -rest
-                        if c ^ low not in members:
-                            break
-                        rest ^= low
-                    else:
-                        circuits.append(c)
-            yield nxt, circuits
-            level = nxt
+            level = [0]
+            while level:
+                members = set(level)
+                nxt: list[int] = []
+                for i in level:
+                    for e in range(i.bit_length(), n):
+                        c = i | 1 << e
+                        if indep(c):
+                            nxt.append(c)
+                            continue
+                        rest = i
+                        while rest:
+                            low = rest & -rest
+                            if c ^ low not in members:
+                                break
+                            rest ^= low
+                        else:
+                            circuits.append(c)
+                independents += nxt
+                level = nxt
+            self._families = (SetFamily._canonical(self.ground, independents),
+                              SetFamily._canonical(self.ground, circuits))
+        return self._families
 
     def independent_family(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:
         check_enum_cap(self.ground.n, cap)
-        ordered = [0]
-        for level, _ in self._levels():
-            ordered += level
-        return SetFamily._canonical(self.ground, ordered)
+        return self._walk()[0]
 
     def circuits(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:
         """Minimal dependent sets: the dependent one-element extensions of
         independent sets whose one-element deletions are all independent."""
         check_enum_cap(self.ground.n, cap)
-        ordered: list[int] = []
-        for _, circuits in self._levels():
-            ordered += circuits
-        return SetFamily._canonical(self.ground, ordered)
+        return self._walk()[1]
 
     def bases(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:
         """Maximal independent sets; all have cardinality rank(U), so only

@@ -148,6 +148,36 @@ def test_subsets_in_canonical_key_order(n):
     assert list(g.subsets()) == expected
 
 
+def test_members_are_built_on_first_read_and_kept():
+    g = GroundSet("abcd")
+    f = SetFamily(g, [0b0011, 0b0100, 0])
+    assert len(f) == 3
+    assert f.bitset() == {0, 0b0100, 0b0011}
+    assert g.mask(0b0100) in f and f.contains_bits(0b0011)
+    assert g.mask(0b1000) not in f
+    assert f.union_mask() == g.mask(0b0111)
+    assert f._members is None
+    first = f.members
+    assert first is f.members
+    assert [m.bits for m in first] == [0, 0b0100, 0b0011]
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(
+        st.integers(min_value=0, max_value=(1 << n) - 1), max_size=40))))
+def test_canonical_family_equals_the_sorted_one(case):
+    n, members = case
+    g = GroundSet(f"x{i}" for i in range(n))
+    ordered = sorted(members, key=lambda b: g.mask(b).canonical_key())
+    taken = SetFamily._canonical(g, ordered)
+    built = SetFamily(g, members)
+    assert taken == built and hash(taken) == hash(built)
+    assert repr(taken) == repr(built)
+    assert list(taken.members) == list(built.members)
+    assert len(taken) == len(built)
+    assert taken.union_mask() == built.union_mask()
+
+
 class TestOpp:
     def test_full_powerset_gives_constant_false(self):
         g = GroundSet("ab")

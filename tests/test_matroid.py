@@ -10,6 +10,7 @@ from covmatroid import (
     SizeLimitError,
     are_isomorphic,
     check_independence_axioms,
+    classify,
     family_max,
     k_rank_matroid,
     partition_matroid,
@@ -19,7 +20,7 @@ from covmatroid import (
     naive_covering_family,
     transversal_matroid,
 )
-from covmatroid.oracle import bf_rank
+from covmatroid.oracle import bf_dual_family, bf_rank
 
 from conftest import random_covering
 
@@ -244,6 +245,67 @@ def test_enumerations_match_powerset_definitions(kind):
             assert list(handle.independent_family()) == indep
             assert list(handle.circuits()) == circuits
             assert list(handle.bases()) == bases
+
+
+def _count_oracle_calls(m):
+    """Wrap ``m``'s independence oracle; the returned one-item list counts
+    its calls."""
+    calls = [0]
+    inner = m.indep_bits
+
+    def indep_bits(bits):
+        calls[0] += 1
+        return inner(bits)
+
+    m.indep_bits = indep_bits
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(_RANDOM_MATROIDS))
+def test_one_walk_per_handle(kind):
+    """Independents and circuits share one walk of the levels: whichever is
+    asked for second makes no oracle call, classify on a warm handle makes
+    only the calls of its rank and bases checks, and the kept families equal
+    a cold handle's member by member."""
+    for n in (1, 3, 5, 7, 9, 11):
+        seed = f"one-walk:{kind}:{n}"
+        for first, second in (("independent_family", "circuits"),
+                              ("circuits", "independent_family")):
+            m = _RANDOM_MATROIDS[kind](random.Random(seed), n)
+            calls = _count_oracle_calls(m)
+            getattr(m, first)()
+            walked = calls[0]
+            assert walked >= n
+            getattr(m, second)()
+            assert calls[0] == walked
+            calls[0] = 0
+            classify(m)
+            in_classify = calls[0]
+            calls[0] = 0
+            m.is_identically_self_dual()
+            assert in_classify == calls[0]
+            cold = _RANDOM_MATROIDS[kind](random.Random(seed), n)
+            assert list(m.independent_family()) == list(cold.independent_family())
+            assert list(m.circuits()) == list(cold.circuits())
+
+
+@pytest.mark.parametrize("kind", sorted(_RANDOM_MATROIDS))
+def test_warm_handle_keeps_the_cap_and_its_dual_walks_its_own(kind):
+    rng = random.Random(f"warm-cap:{kind}")
+    for n in (2, 4, 6, 8, 10):
+        m = _RANDOM_MATROIDS[kind](rng, n)
+        m.independent_family()
+        with pytest.raises(SizeLimitError):
+            m.independent_family(cap=n - 1)
+        with pytest.raises(SizeLimitError):
+            m.circuits(cap=n - 1)
+        dual = m.dual()
+        expected = bf_dual_family(m)
+        assert list(dual.independent_family()) == list(expected)
+        members = expected.bitset()
+        circuits = [b for b in range(1 << n) if b not in members
+                    and all(b & ~(1 << i) in members for i in range(n) if b >> i & 1)]
+        assert list(dual.circuits()) == _canonical(m.ground, circuits)
 
 
 class TestDual:
