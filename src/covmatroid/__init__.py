@@ -54,7 +54,6 @@ from .rough import (
     matroidal_neighborhood,
     matroidal_upper,
     neighborhood,
-    slice_via_covering_matroid,
     upper_approx,
 )
 from .oracle import (
@@ -114,7 +113,6 @@ __all__ = [
     "matroidal_neighborhood",
     "matroidal_upper",
     "neighborhood",
-    "slice_via_covering_matroid",
     "upper_approx",
     "bf_dual_family",
     "bf_matching",

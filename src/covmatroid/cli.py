@@ -26,7 +26,6 @@ from .constructions import (
     covering_as_transversal,
     covering_matroid,
     covering_matroid_slice,
-    k_rank_matroid,
     naive_covering_family,
     partition_matroid,
     transversal_as_covering,
@@ -96,12 +95,7 @@ def _verify_independents(doc: InputDocument, fam: SetFamily) -> frozenset[int]:
     """Check ``fam`` subset by subset against the brute-force oracle and
     return the subsets the oracle calls independent."""
     if doc.kind in ("covering", "partition"):
-        cov = doc.covering()
-        slices = [
-            k_rank_matroid(cov.ground, b, k)
-            for b, k in zip(cov.blocks, cov.capacities)
-        ]
-        bf = functools.partial(oracle.bf_union_independent, slices)
+        bf = oracle.bf_union_independent(doc.covering())
         mismatch = "independence mismatch at X="
     else:
         bf = functools.partial(oracle.bf_matching, doc.family())

@@ -263,8 +263,7 @@ def k_rank_matroid(ground: GroundSet, block: SubsetMask, k: int) -> Matroid:
     def rank(bits: int) -> int:
         return min((bits & bb).bit_count(), k)
 
-    return Matroid(ground, indep, rank_hint=rank, provenance="k-rank",
-                   source=(block, k))
+    return Matroid(ground, indep, rank_hint=rank, provenance="k-rank")
 
 
 def partition_matroid(p: PartitionWitness) -> Matroid:
@@ -283,7 +282,7 @@ def partition_matroid(p: PartitionWitness) -> Matroid:
         return sum(min((bits & bb).bit_count(), k) for bb, k in pairs)
 
     return Matroid(p.covering.ground, indep, rank_hint=rank,
-                   provenance="partition", source=p)
+                   provenance="partition")
 
 
 def union_matroids(ms: Sequence[Matroid], cap: int = DEFAULT_ENUM_CAP) -> Matroid:
@@ -327,7 +326,7 @@ def union_matroids(ms: Sequence[Matroid], cap: int = DEFAULT_ENUM_CAP) -> Matroi
 
         return assign(0)
 
-    return Matroid(ground, indep, provenance="union", source=tuple(ms))
+    return Matroid(ground, indep, provenance="union")
 
 
 def covering_matroid(c: CapacitatedCovering) -> Matroid:
@@ -346,7 +345,6 @@ def covering_matroid(c: CapacitatedCovering) -> Matroid:
         engine.saturates,
         rank_hint=engine.matching_size,
         provenance="covering",
-        source=c,
     )
 
 
@@ -395,7 +393,6 @@ def transversal_matroid(f: IndexedFamily) -> Matroid:
         engine.saturates,
         rank_hint=engine.matching_size,
         provenance="transversal",
-        source=f,
     )
 
 
@@ -430,8 +427,9 @@ def transversal_as_covering(f: IndexedFamily) -> CapacitatedCovering:
 
 def covering_as_transversal(c: CapacitatedCovering) -> Optional[IndexedFamily]:
     """Blocks as an indexed family when all capacities are 1, yielding the
-    same matroid; ``None`` when some capacity differs (the covering ↔
-    transversal equivalence holds only for all-ones capacities)."""
+    same matroid; ``None`` when some capacity differs.  Only the all-ones
+    case is handled here, although M(K, k) is the transversal matroid of
+    the blocks with each K_i repeated k_i times for any capacities."""
     if any(k != 1 for k in c.capacities):
         return None
     return IndexedFamily(c.ground, c.blocks)
@@ -450,7 +448,6 @@ def partition_circuit_matroid(p: PartitionWitness) -> Matroid:
         m.indep_bits,
         rank_hint=m.rank_hint,
         provenance="partition-circuit",
-        source=sized,
     )
 
 

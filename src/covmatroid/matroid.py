@@ -63,8 +63,9 @@ class Matroid:
     """A ground set plus an independence oracle over index bitmasks.
 
     ``indep_bits`` decides independence of an integer bitmask; ``rank_hint``
-    is an optional closed-form rank function, audited against greedy rank at
-    construction time.
+    is an optional closed-form rank function, spot-checked against greedy
+    rank by :meth:`audit_rank_hint`.  ``provenance`` is a label for ``repr``
+    and tracing only.
 
     Precondition: the oracle is hereditary (I2: every subset of an
     independent set is independent).  The enumerations extend independent
@@ -76,7 +77,7 @@ class Matroid:
     kept for its lifetime: near the enumeration cap, millions of masks.
     """
 
-    __slots__ = ("ground", "indep_bits", "rank_hint", "provenance", "source", "_families")
+    __slots__ = ("ground", "indep_bits", "rank_hint", "provenance", "_families")
 
     def __init__(
         self,
@@ -84,7 +85,6 @@ class Matroid:
         indep_bits: Callable[[int], bool],
         rank_hint: Optional[Callable[[int], int]] = None,
         provenance: str = "oracle",
-        source: object = None,
     ):
         if not indep_bits(0):
             raise ValidationError("independence oracle rejects ∅ (axiom I1)")
@@ -92,18 +92,7 @@ class Matroid:
         self.indep_bits = indep_bits
         self.rank_hint = rank_hint
         self.provenance = provenance
-        self.source = source
         self._families: Optional[tuple[SetFamily, SetFamily]] = None
-
-    @classmethod
-    def from_family(cls, family: SetFamily, provenance: str = "explicit") -> Matroid:
-        """A handle backed by an explicit independent family.
-
-        The family is not re-checked here; run
-        :func:`check_independence_axioms` first for untrusted input.
-        """
-        bitset = family.bitset()
-        return cls(family.ground, bitset.__contains__, provenance=provenance)
 
     # -- basic queries ----------------------------------------------------
 
@@ -229,7 +218,6 @@ class Matroid:
             dual_indep,
             rank_hint=dual_rank,
             provenance=f"dual({self.provenance})",
-            source=self,
         )
 
     def is_identically_self_dual(self, cap: int = DEFAULT_ENUM_CAP) -> bool:

@@ -8,14 +8,18 @@ hold the fast algorithms to them on small instances.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Callable
 
 from .core import SetFamily, SizeLimitError, SubsetMask
-from .constructions import IndexedFamily
+from .constructions import CapacitatedCovering, IndexedFamily
 from .matroid import Matroid
 
 _BF_UNION_ELEMS = 12
 _BF_UNION_PARTS = 4
+_BF_UNION_CAPS = (
+    f"brute-force union is capped at |X| ≤ {_BF_UNION_ELEMS}, "
+    f"m ≤ {_BF_UNION_PARTS}"
+)
 _BF_RANK_ELEMS = 20
 _BF_MATCHING_ELEMS = 8
 _BF_DUAL_CAP = 16
@@ -23,7 +27,7 @@ _BF_DUAL_CAP = 16
 
 def _assign_krank(bits, blocks, caps, counts, m):
     """Backtracking over assignments of the lowest element of ``bits`` to a
-    block with spare capacity; specialized to k-rank components."""
+    block with spare capacity."""
     if not bits:
         return True
     low = bits & -bits
@@ -38,88 +42,42 @@ def _assign_krank(bits, blocks, caps, counts, m):
     return False
 
 
-def _assign_generic(bits, ms, parts, m):
-    """Backtracking over assignments of the lowest element of ``bits``,
-    consulting each component's own independence oracle."""
-    if not bits:
-        return True
-    low = bits & -bits
-    rest = bits ^ low
-    for i in range(m):
-        cand = parts[i] | low
-        if ms[i].indep_bits(cand):
-            parts[i] = cand
-            if _assign_generic(rest, ms, parts, m):
-                parts[i] = cand ^ low
-                return True
-            parts[i] = cand ^ low
-    return False
+def bf_union_independent(
+    c: CapacitatedCovering,
+) -> Callable[[SubsetMask], bool]:
+    """The union of the k-rank matroids M(K_i, k_i) of the covering's
+    blocks, as a predicate: is X = I_1 ∪ … ∪ I_m with each I_i ⊆ K_i and
+    |I_i| ≤ k_i?
 
-
-# One-slot cache of the parsed k-rank parameters for the components last
-# queried; queries typically scan many subsets against one fixed list, and
-# re-parsing per subset would dominate the search itself.  Only argument
-# parsing is cached, never results.
-_last_key: Optional[tuple] = None
-_last_parsed: Optional[tuple] = None
-
-
-def _parse_krank(ms):
-    """(blocks, caps, allowed-union, total-capacity) if every component is a
-    k-rank matroid, else None."""
-    blocks = []
-    caps = []
+    Blocks and capacities are read once, here; the predicate tries every
+    assignment of X's elements to blocks, element by element, placing each
+    only in a block that contains it and has capacity to spare.
+    """
+    m = c.m
+    if m > _BF_UNION_PARTS:
+        raise SizeLimitError(_BF_UNION_CAPS)
+    blocks = [b.bits for b in c.blocks]
+    caps = list(c.capacities)
     allowed = 0
     total = 0
-    for mat in ms:
-        if mat.provenance != "k-rank":
-            return None
-        block, k = mat.source
-        bb = block.bits
-        blocks.append(bb)
-        caps.append(k)
+    for bb, k in zip(blocks, caps):
         if k:
             allowed |= bb
             total += k
-    return blocks, caps, allowed, total
 
+    def independent(x: SubsetMask) -> bool:
+        bits = x.bits
+        card = bits.bit_count()
+        if card > _BF_UNION_ELEMS:
+            raise SizeLimitError(_BF_UNION_CAPS)
+        # Two sound pre-rejects before searching: an element admissible to
+        # no block under its capacity can never be assigned, and more
+        # elements than total capacity cannot all be placed.
+        if bits & ~allowed or card > total:
+            return False
+        return _assign_krank(bits, blocks, caps, [0] * m, m)
 
-def bf_union_independent(ms: Sequence[Matroid], x: SubsetMask) -> bool:
-    """Is X a union I_1 ∪ … ∪ I_m of per-component independent sets?
-
-    Tries every assignment of X's elements to component indices,
-    element by element; a branch is abandoned as soon as its part becomes
-    dependent, which loses nothing because independence is subset-closed
-    in a matroid.
-    """
-    global _last_key, _last_parsed
-    bits = x.bits
-    m = len(ms)
-    card = bits.bit_count()
-    if card > _BF_UNION_ELEMS or m > _BF_UNION_PARTS:
-        raise SizeLimitError(
-            f"brute-force union is capped at |X| ≤ {_BF_UNION_ELEMS}, "
-            f"m ≤ {_BF_UNION_PARTS}"
-        )
-    # k-rank components admit a direct transcription of their definition
-    # (part within the block, size below the capacity); anything else goes
-    # through the component's own oracle.
-    key = tuple(ms)
-    if key == _last_key:
-        parsed = _last_parsed
-    else:
-        parsed = _parse_krank(ms)
-        _last_key = key
-        _last_parsed = parsed
-    if parsed is None:
-        return _assign_generic(bits, ms, [0] * m, m)
-    blocks, caps, allowed, total = parsed
-    # Two sound pre-rejects before searching: an element admissible to no
-    # block under its capacity can never be assigned, and more elements than
-    # total capacity cannot all be placed.
-    if bits & ~allowed or card > total:
-        return False
-    return _assign_krank(bits, blocks, caps, [0] * m, m)
+    return independent
 
 
 def bf_rank(m: Matroid, x: SubsetMask) -> int:

@@ -167,12 +167,6 @@ def matroidal_upper(
     return SubsetMask(ms.ground, out)
 
 
-def slice_via_covering_matroid(ms: MatroidalSpace, i: int) -> Matroid:
-    """The i-th slice obtained from the covering matroid with all other
-    capacities zeroed; interchangeable with the direct k-rank slice."""
-    return covering_matroid_slice(ms.covering, i)
-
-
 @dataclass(frozen=True)
 class Finding:
     """A concrete input on which a matroidal operator disagrees with its
@@ -202,7 +196,7 @@ def approximation_findings(
     """
     space = ms.space()
     slices = (
-        tuple(slice_via_covering_matroid(ms, i) for i in range(ms.covering.m))
+        tuple(covering_matroid_slice(ms.covering, i) for i in range(ms.covering.m))
         if via_covering
         else ms.slices
     )

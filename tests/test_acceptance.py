@@ -46,7 +46,6 @@ from covmatroid import (
     partition_circuit_matroid,
     partition_dual_params,
     partition_matroid,
-    slice_via_covering_matroid,
     transversal_as_covering,
     transversal_matroid,
     union_matroids,
@@ -164,7 +163,7 @@ def test_criterion_04_equivalence_suite():
             space = ms.space()
             g = cov.ground
             alt = tuple(
-                slice_via_covering_matroid(ms, i) for i in range(cov.m)
+                covering_matroid_slice(cov, i) for i in range(cov.m)
             )
             for i, block in enumerate(cov.blocks):
                 assert matroidal_block(ms, i).bits == block.bits
@@ -310,21 +309,12 @@ def test_criterion_09_oracle_parity():
                         union |= b.bits
                     if union != full:
                         continue
-                    slice_cache = [
-                        [k_rank_matroid(g, b, k) for k in (0, 1, 2)]
-                        for b in combo
-                    ]
                     for caps in cap_vectors:
                         cov = CapacitatedCovering(g, combo, caps)
-                        mat = covering_matroid(cov)
-                        slices = [
-                            slice_cache[i][k] for i, k in enumerate(caps)
-                        ]
-                        indep = mat.indep_bits
+                        indep = covering_matroid(cov).indep_bits
+                        bf = bf_union_independent(cov)
                         for bits in range(1 << n):
-                            if indep(bits) != bf_union_independent(
-                                slices, masks[bits]
-                            ):
+                            if indep(bits) != bf(masks[bits]):
                                 raise AssertionError((cov, masks[bits]))
                         checked += 1 << n
         return f"{checked} (covering, X) pairs, zero mismatches"

@@ -1,6 +1,10 @@
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, strategies as st
 
+import covmatroid
 from covmatroid import (
     GroundSet,
     SetFamily,
@@ -197,3 +201,15 @@ def test_enum_cap():
     with pytest.raises(SizeLimitError):
         check_enum_cap(23)
     check_enum_cap(23, cap=23)
+
+
+def test_no_module_state_is_rebound_from_a_function():
+    # Shared mutable module state: a `global` statement anywhere in the
+    # package is the way a function would rebind it.
+    sources = sorted(pathlib.Path(covmatroid.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Global)]
+        assert not found, f"{path.name}: `global` at lines {found}"

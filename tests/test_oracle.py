@@ -6,6 +6,7 @@ import random
 import pytest
 
 from covmatroid import (
+    CapacitatedCovering,
     GroundSet,
     IndexedFamily,
     SizeLimitError,
@@ -35,40 +36,34 @@ class TestUnionOracle:
         for _ in range(40):
             c = random_covering(rng, rng.randint(2, 5), rng.randint(1, 3))
             m = covering_matroid(c)
-            ms = slices_of(c)
+            bf = bf_union_independent(c)
             for x in c.ground.subsets():
-                assert bf_union_independent(ms, x) == m.indep_bits(x.bits), (c, x)
-
-    def test_generic_path_matches_krank_path(self):
-        # Strip provenance so the generic assignment search runs, then
-        # compare against the specialized transcription.
-        rng = random.Random(12)
-        for _ in range(15):
-            c = random_covering(rng, 4, 2)
-            ms = slices_of(c)
-            from covmatroid.matroid import Matroid
-
-            generic = [
-                Matroid(m.ground, m.indep_bits, rank_hint=m.rank_hint) for m in ms
-            ]
-            for x in c.ground.subsets():
-                assert bf_union_independent(ms, x) == bf_union_independent(generic, x)
+                assert bf(x) == m.indep_bits(x.bits), (c, x)
 
     def test_union_matroids_agrees(self):
-        g = GroundSet("abcd")
-        m1 = k_rank_matroid(g, g.subset("abc"), 1)
-        m2 = k_rank_matroid(g, g.subset("cd"), 2)
-        u = union_matroids([m1, m2])
-        for x in g.subsets():
-            assert u.indep_bits(x.bits) == bf_union_independent([m1, m2], x)
+        # The generic assignment search over the k-rank slices against the
+        # direct transcription over blocks and capacities.
+        rng = random.Random(12)
+        for _ in range(60):
+            c = random_covering(rng, rng.randint(1, 6), rng.randint(1, 4),
+                                kmax=2, kmin=0)
+            u = union_matroids(slices_of(c))
+            bf = bf_union_independent(c)
+            for x in c.ground.subsets():
+                assert u.indep_bits(x.bits) == bf(x), (c, x)
 
     def test_size_caps(self):
         g = GroundSet("abcdefghijklmn")
-        m = k_rank_matroid(g, g.subset(g.labels), 3)
+        one = CapacitatedCovering(g, (g.subset(g.labels),), (3,))
         with pytest.raises(SizeLimitError):
-            bf_union_independent([m], g.subset(g.labels[:13]))
+            bf_union_independent(one)(g.subset(g.labels[:13]))
+        five = CapacitatedCovering(
+            g,
+            tuple(g.subset(g.labels[i:]) for i in range(5)),
+            (1,) * 5,
+        )
         with pytest.raises(SizeLimitError):
-            bf_union_independent([m] * 5, g.subset("a"))
+            bf_union_independent(five)
 
 
 class TestRankOracle:

@@ -10,6 +10,7 @@ from covmatroid import (
     SetFamily,
     ValidationError,
     approximation_findings,
+    covering_matroid_slice,
     lower_approx,
     matroidal_block,
     matroidal_lower,
@@ -17,7 +18,6 @@ from covmatroid import (
     matroidal_neighborhood,
     matroidal_upper,
     neighborhood,
-    slice_via_covering_matroid,
     upper_approx,
 )
 from conftest import random_covering
@@ -208,7 +208,7 @@ class TestMatroidalApproximations:
 
 class TestSliceViaCoveringMatroid:
     def test_paper_slice(self, paper_matroidal):
-        m = slice_via_covering_matroid(paper_matroidal, 1)
+        m = covering_matroid_slice(paper_matroidal.covering, 1)
         assert repr(m.independent_family()) == "{∅, {b}, {c}}"
 
     def test_interchangeable_with_direct_slices(self):
@@ -217,7 +217,7 @@ class TestSliceViaCoveringMatroid:
             cov = random_covering(rng, rng.randint(2, 6), rng.randint(1, 3))
             ms = MatroidalSpace(cov)
             replaced = tuple(
-                slice_via_covering_matroid(ms, i) for i in range(cov.m)
+                covering_matroid_slice(cov, i) for i in range(cov.m)
             )
             space = ms.space()
             for i in range(cov.m):
