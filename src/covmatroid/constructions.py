@@ -7,6 +7,7 @@ for partition matroids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -173,21 +174,22 @@ class _MatchingOracle:
         self.adj: Optional[tuple[tuple[int, ...], ...]] = None
         self._cuts: Optional[tuple[tuple[int, int], ...]] = None
         if len(live) <= _CUT_CAP:
+            # Union and total capacity of each subset of the live blocks.
+            unions = [0]
+            capsums = [0]
+            for bb, k in live:
+                unions += [u | bb for u in unions]
+                capsums += [c + k for c in capsums]
+            # Drop never-deficient cuts; of equal cuts, keep the least capacity.
             full = (1 << n) - 1
-            cuts = []
-            for sel in range(1 << len(live)):
-                outside = 0
-                capsum = 0
-                for i, (bb, k) in enumerate(live):
-                    if sel >> i & 1:
-                        capsum += k
-                    else:
-                        outside |= bb
+            least: dict[int, int] = {}
+            for outside, capsum in zip(reversed(unions), capsums):
                 only = full & ~outside
-                # Cuts that can never be deficient are dropped up front.
-                if only and only.bit_count() > capsum:
-                    cuts.append((only, capsum))
-            self._cuts = tuple(cuts)
+                if only.bit_count() > capsum and least.get(only, capsum) >= capsum:
+                    least[only] = capsum
+            # For the extension hook: by largest element, descending (stable).
+            tops = sorted(least, key=int.bit_length, reverse=True)
+            self._cuts = tuple(zip(tops, map(least.__getitem__, tops)))
         else:
             self.adj = tuple(
                 tuple(i for i, (bb, _) in enumerate(live) if bb >> e & 1)
@@ -250,6 +252,31 @@ class _MatchingOracle:
         return not self._unplaced(bits, True)
 
 
+def _cut_extensions(cuts: Sequence[tuple[int, int]], full: int, bits: int) -> int:
+    """The walk's extension hook from (elements, capacity) cuts sorted by
+    largest element, descending, each of which ``bits`` meets within
+    capacity: e above max(bits) extends it iff no cut holding e is full."""
+    top = bits.bit_length()
+    blocked = 0
+    for only, capsum in cuts:
+        if not only >> top:
+            break
+        if (bits & only).bit_count() == capsum:
+            blocked |= only
+    return full >> top << top & ~blocked
+
+
+def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
+                      caps: Sequence[int], provenance: str) -> Matroid:
+    """A handle on a matcher; the cut path fills the extension hook."""
+    engine = _MatchingOracle(ground.n, block_bits, caps)
+    m = Matroid(ground, engine.saturates, rank_hint=engine.matching_size,
+                provenance=provenance)
+    if engine._cuts is not None:
+        m._extend = partial(_cut_extensions, engine._cuts, ground.full_mask)
+    return m
+
+
 def k_rank_matroid(ground: GroundSet, block: SubsetMask, k: int) -> Matroid:
     """The matroid whose independent sets are the subsets of ``block`` of
     size at most ``k``; its loops are exactly U minus the block."""
@@ -281,8 +308,11 @@ def partition_matroid(p: PartitionWitness) -> Matroid:
     def rank(bits: int) -> int:
         return sum(min((bits & bb).bit_count(), k) for bb, k in pairs)
 
-    return Matroid(p.covering.ground, indep, rank_hint=rank,
-                   provenance="partition")
+    ground = p.covering.ground
+    m = Matroid(ground, indep, rank_hint=rank, provenance="partition")
+    m._extend = partial(_cut_extensions, sorted(pairs, reverse=True),
+                        ground.full_mask)
+    return m
 
 
 def union_matroids(ms: Sequence[Matroid], cap: int = DEFAULT_ENUM_CAP) -> Matroid:
@@ -337,15 +367,8 @@ def covering_matroid(c: CapacitatedCovering) -> Matroid:
     and cross-checked against it in the test suite.  The closed-form rank is
     the maximum matching size.
     """
-    engine = _MatchingOracle(
-        c.ground.n, [b.bits for b in c.blocks], c.capacities
-    )
-    return Matroid(
-        c.ground,
-        engine.saturates,
-        rank_hint=engine.matching_size,
-        provenance="covering",
-    )
+    return _matching_matroid(c.ground, [b.bits for b in c.blocks],
+                             c.capacities, "covering")
 
 
 def covering_matroid_slice(c: CapacitatedCovering, i: int) -> Matroid:
@@ -385,15 +408,8 @@ def is_partial_transversal(f: IndexedFamily, t: SubsetMask) -> bool:
 
 def transversal_matroid(f: IndexedFamily) -> Matroid:
     """The matroid of partial transversals of the indexed family."""
-    engine = _MatchingOracle(
-        f.ground.n, [m.bits for m in f.members], [1] * len(f.members)
-    )
-    return Matroid(
-        f.ground,
-        engine.saturates,
-        rank_hint=engine.matching_size,
-        provenance="transversal",
-    )
+    return _matching_matroid(f.ground, [m.bits for m in f.members],
+                             [1] * len(f.members), "transversal")
 
 
 def transversal_as_covering(f: IndexedFamily) -> CapacitatedCovering:
@@ -443,12 +459,8 @@ def partition_circuit_matroid(p: PartitionWitness) -> Matroid:
         p.covering.with_capacities([b.cardinality - 1 for b in p.blocks])
     )
     m = partition_matroid(sized)
-    return Matroid(
-        m.ground,
-        m.indep_bits,
-        rank_hint=m.rank_hint,
-        provenance="partition-circuit",
-    )
+    m.provenance = "partition-circuit"
+    return m
 
 
 def partition_dual_params(p: PartitionWitness) -> tuple[int, ...]:

@@ -149,10 +149,13 @@ def parse_document(text: str) -> InputDocument:
 
     doc = InputDocument(kind, ground, tuple(blocks))
     # surface covering/partition structural problems as parse-stage errors
-    if kind == "covering":
-        doc.covering()
-    elif kind == "partition":
-        doc.partition()
+    try:
+        if kind == "covering":
+            doc.covering()
+        elif kind == "partition":
+            doc.partition()
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from None
     return doc
 
 

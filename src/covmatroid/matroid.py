@@ -73,11 +73,17 @@ class Matroid:
     the package builds satisfies it.
 
     A handle is immutable (its oracle is fixed at construction), so its
-    independent and circuit families come from one walk on first use and are
-    kept for its lifetime: near the enumeration cap, millions of masks.
+    independent, circuit and base families come from one walk on first use
+    and are kept for its lifetime: near the enumeration cap, millions of
+    masks.  The walk asks the private hook ``_extend(I)`` for the mask
+    {e > max I : I + e independent} of an independent I; the package's
+    constructions fill it, and by default it asks ``indep_bits`` per
+    element.  A warm :meth:`bases` reads the walk; dual bases are the
+    complements of the primal's.
     """
 
-    __slots__ = ("ground", "indep_bits", "rank_hint", "provenance", "_families")
+    __slots__ = ("ground", "indep_bits", "rank_hint", "provenance", "_extend",
+                 "_dual_of", "_families")
 
     def __init__(
         self,
@@ -92,7 +98,9 @@ class Matroid:
         self.indep_bits = indep_bits
         self.rank_hint = rank_hint
         self.provenance = provenance
-        self._families: Optional[tuple[SetFamily, SetFamily]] = None
+        self._extend: Optional[Callable[[int], int]] = None
+        self._dual_of: Optional[Matroid] = None
+        self._families: Optional[tuple[SetFamily, SetFamily, SetFamily]] = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -136,27 +144,43 @@ class Matroid:
 
     # -- enumerations -----------------------------------------------------
 
-    def _walk(self) -> tuple[SetFamily, SetFamily]:
-        """The independent and circuit families in canonical order, from one
-        level-wise walk on first use.  Level k+1 extends each independent
-        k-set I, in order, by each element above I's largest, which keeps
-        lex order; by I2 every independent set and every circuit has an
-        independent prefix, so each is met once.  A dependent extension is a
-        circuit iff dropping any one element of I leaves a member of level k
-        (dropping the new element leaves I)."""
+    def _scan_extensions(self, bits: int) -> int:
+        """The default extension hook: one oracle call per candidate."""
+        indep = self.indep_bits
+        out = 0
+        e = 1 << bits.bit_length()
+        while e <= self.ground.full_mask:
+            if indep(bits | e):
+                out |= e
+            e <<= 1
+        return out
+
+    def _walk(self) -> tuple[SetFamily, SetFamily, SetFamily]:
+        """The independent, circuit and base families in canonical order,
+        from one level-wise walk on first use.  Level k+1 extends each
+        independent k-set I, in order, by each element above I's largest,
+        which keeps lex order; by I2 every independent set and every circuit
+        has an independent prefix, so each is met once.  The extension hook
+        names the independent extensions; a dependent one is a circuit iff
+        dropping any one element of I leaves a member of level k (dropping
+        the new element leaves I).  The top level holds the bases."""
         if self._families is None:
-            n = self.ground.n
-            indep = self.indep_bits
+            singles = [1 << e for e in range(self.ground.n)]
+            extend = self._extend or self._scan_extensions
             independents = [0]
             circuits: list[int] = []
             level = [0]
-            while level:
+            while True:
                 members = set(level)
                 nxt: list[int] = []
                 for i in level:
-                    for e in range(i.bit_length(), n):
-                        c = i | 1 << e
-                        if indep(c):
+                    above = singles[i.bit_length():]
+                    if not above:
+                        continue
+                    ext = extend(i)
+                    for e in above:
+                        c = i | e
+                        if ext & e:
                             nxt.append(c)
                             continue
                         rest = i
@@ -167,10 +191,13 @@ class Matroid:
                             rest ^= low
                         else:
                             circuits.append(c)
+                if not nxt:
+                    break
                 independents += nxt
                 level = nxt
             self._families = (SetFamily._canonical(self.ground, independents),
-                              SetFamily._canonical(self.ground, circuits))
+                              SetFamily._canonical(self.ground, circuits),
+                              SetFamily._canonical(self.ground, level))
         return self._families
 
     def independent_family(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:
@@ -184,10 +211,19 @@ class Matroid:
         return self._walk()[1]
 
     def bases(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:
-        """Maximal independent sets; all have cardinality rank(U), so only
-        the rank(U)-subsets are tried, in canonical order."""
+        """Maximal independent sets in canonical order: a walked handle's top
+        level, a dual handle's primal bases complemented (which reverses
+        canonical order within one size), else the independent r(U)-subsets,
+        so a cold handle near the cap keeps no 2^n masks."""
         check_enum_cap(self.ground.n, cap)
-        r = self.rank_bits(self.ground.full_mask)
+        if self._families is not None:
+            return self._families[2]
+        full = self.ground.full_mask
+        if self._dual_of is not None:
+            primal = self._dual_of.bases(cap)._ordered
+            return SetFamily._canonical(self.ground,
+                                        [full ^ b for b in reversed(primal)])
+        r = self.rank_bits(full)
         indep = self.indep_bits
         singles = [1 << e for e in range(self.ground.n)]
         return SetFamily._canonical(
@@ -205,7 +241,7 @@ class Matroid:
         """
         full = self.ground.full_mask
         r_full = self.rank_bits(full)
-        rank_bits = self.rank_bits
+        rank_bits = self.rank_hint or self.greedy_rank_bits
 
         def dual_indep(bits: int) -> bool:
             return rank_bits(full & ~bits) == r_full
@@ -213,12 +249,10 @@ class Matroid:
         def dual_rank(bits: int) -> int:
             return bits.bit_count() + rank_bits(full & ~bits) - r_full
 
-        return Matroid(
-            self.ground,
-            dual_indep,
-            rank_hint=dual_rank,
-            provenance=f"dual({self.provenance})",
-        )
+        dual = Matroid(self.ground, dual_indep, rank_hint=dual_rank,
+                       provenance=f"dual({self.provenance})")
+        dual._dual_of = self
+        return dual
 
     def is_identically_self_dual(self, cap: int = DEFAULT_ENUM_CAP) -> bool:
         """True iff M = M* (not merely isomorphic): as B(M*) = {U−B : B ∈ B(M)},

@@ -2,8 +2,13 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from covmatroid import CapacitatedCovering, GroundSet
+
+# CI selects this profile (--hypothesis-profile=ci) so each run draws the
+# same examples; local runs keep the default, randomized profile.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -3,6 +3,7 @@ determinism across repeated runs."""
 
 import io
 import os
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +248,26 @@ class TestDeterminism:
         first = run(*argv)
         second = run(*argv)
         assert first == second
+
+
+GOLDEN_COMMANDS = ("independents", "circuits", "bases", "dual", "classify")
+FIXTURE_NAMES = sorted(f for f in os.listdir(FIX) if f.endswith(".txt"))
+
+
+def golden_transcript(name):
+    """Each enumeration command, without and with --verify, on one fixture:
+    a header line naming the command and its exit code, then its stdout."""
+    parts = []
+    for command in GOLDEN_COMMANDS:
+        for extra in ((), ("--verify",)):
+            code, text = run(command, fx(name), *extra)
+            parts.append(f"== {' '.join((command, *extra))} (exit {code})\n{text}")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_outputs_match_the_committed_transcripts(name):
+    """Byte-for-byte against ``fixtures/expected/<name>``, which holds the
+    outputs of the commit before the walk read bases from its top level."""
+    expected = Path(FIX, "expected", name).read_bytes()
+    assert golden_transcript(name).encode("utf-8") == expected

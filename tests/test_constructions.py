@@ -270,6 +270,24 @@ class TestTransversalCoveringConversions:
     def test_covering_to_transversal_inapplicable(self, paper_covering):
         assert covering_as_transversal(paper_covering.with_capacities([1, 2])) is None
 
+    def test_covering_is_transversal_of_repeated_blocks(self):
+        """M(K, k) is the transversal matroid of the blocks with each K_i
+        repeated k_i times, for any capacities (capacity 0 included); back
+        through ``transversal_as_covering`` the repeats merge again."""
+        rng = random.Random(29)
+        zero_caps = 0
+        for _ in range(60):
+            cov = random_covering(rng, rng.randint(1, 9), rng.randint(1, 5),
+                                  kmax=3, kmin=0)
+            zero_caps += 0 in cov.capacities
+            repeated = IndexedFamily(cov.ground, tuple(
+                b for b, k in zip(cov.blocks, cov.capacities) for _ in range(k)))
+            fam_ = covering_matroid(cov).independent_family()
+            assert transversal_matroid(repeated).independent_family() == fam_
+            merged = transversal_as_covering(repeated)
+            assert covering_matroid(merged).independent_family() == fam_
+        assert zero_caps > 10
+
     def test_all_ones_partition_is_transversal(self):
         g = GroundSet("abcd")
         p = PartitionWitness.from_labels(g, [["a", "b"], ["c", "d"]], [1, 1])
@@ -452,3 +470,41 @@ class TestMatchingPaths:
                 bits = random_query(rng, 64)
                 assert slc.indep_bits(bits) == kr.indep_bits(bits)
                 assert slc.rank_bits(bits) == kr.rank_bits(bits)
+
+
+class TestExtensionHook:
+    """The walk's extension hook against its contract: for each independent
+    I of a powerset scan, the mask of the elements e above max I with I + e
+    independent.  ``_CUT_CAP`` forces the matcher's path."""
+
+    @staticmethod
+    def handles(rng):
+        for n in (1, 3, 5, 7, 8, 10):
+            cov = random_covering(rng, n, rng.randint(1, 8), kmax=3, kmin=0)
+            yield covering_matroid(cov)
+            yield transversal_matroid(random_indexed_family(rng, n, rng.randint(1, 8)))
+            g = cov.ground
+            parts = [[] for _ in range(rng.randint(1, 4))]
+            for label in g.labels:
+                rng.choice(parts).append(label)
+            parts = [p for p in parts if p]
+            p = PartitionWitness.from_labels(
+                g, parts, [rng.randint(0, len(p) + 1) for p in parts])
+            yield partition_matroid(p)
+            yield partition_circuit_matroid(p)
+
+    @pytest.mark.parametrize("cut_cap", [0, 14])
+    def test_hook_names_the_independent_extensions(self, monkeypatch, cut_cap):
+        monkeypatch.setattr(constructions, "_CUT_CAP", cut_cap)
+        for m in self.handles(random.Random(53)):
+            if m.provenance in ("covering", "transversal"):
+                assert (m._extend is None) == (cut_cap == 0)
+            else:
+                assert m._extend is not None
+            extend = m._extend or m._scan_extensions
+            n = m.ground.n
+            for bits in range(1 << n):
+                if m.indep_bits(bits):
+                    assert extend(bits) == sum(
+                        1 << e for e in range(bits.bit_length(), n)
+                        if m.indep_bits(bits | 1 << e)), (m, bits)

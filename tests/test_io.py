@@ -1,0 +1,137 @@
+"""The input boundary: any text parses to a document or raises
+``ParseError``, any bytes through the CLI end in a documented exit code, and
+rendered documents parse back to what was rendered."""
+
+import io
+import os
+import string
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from covmatroid import CapacitatedCovering, GroundSet, IndexedFamily
+from covmatroid.cli import COMMANDS, main
+from covmatroid.io import (
+    InputDocument,
+    ParseError,
+    parse_document,
+    render_covering_document,
+    render_family_document,
+)
+
+LABELS = ("a", "b", "c", "d", "e", "x1", "k")
+
+# Document-shaped text: a header that is mostly well formed, block lines
+# over the universe's labels, and a few malformed lines put anywhere, so
+# examples reach the later checks (labels, capacities, covering structure)
+# and not only the first line.
+_WORDS = ["k=0", "k=1", "k=2", "k=-1", "k=x", "K1 =", ",", "#", "zz"]
+_noise = st.one_of(
+    st.sampled_from(["# comment", "", "no colon here", "universe: a",
+                     "universe: b b", "block:", "kind: graph", "format: 2"]),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def documents(draw):
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=5,
+                           unique=True))
+    lines = ["format: 1",
+             draw(st.sampled_from(["kind: covering", "kind: partition",
+                                   "kind: indexed_family"])),
+             "universe: " + " ".join(labels)]
+    for _ in range(draw(st.integers(0, 5))):
+        words = draw(st.lists(st.sampled_from(labels * 3 + _WORDS), min_size=1,
+                              max_size=5))
+        key = draw(st.sampled_from(["block", "member"]))
+        lines.append(f"{key}: {' '.join(words)}")
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_noise))
+    return "\n".join(lines)
+
+
+def _check_parse(text):
+    try:
+        doc = parse_document(text)
+    except ParseError:
+        return
+    assert isinstance(doc, InputDocument)
+
+
+@settings(max_examples=200)
+@given(st.text(max_size=80))
+def test_any_text_parses_or_raises_parse_error(text):
+    _check_parse(text)
+
+
+@settings(max_examples=200)
+@given(documents())
+def test_document_shaped_text_parses_or_raises_parse_error(text):
+    _check_parse(text)
+
+
+_ARGS = {
+    "rank": ("--set", "a,b"),
+    "closure": ("--set", "a"),
+    "approx": ("--set", "a", "--matroidal"),
+    "neighborhood": ("--element", "a", "--matroidal"),
+}
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(st.binary(max_size=80), documents().map(str.encode)),
+    st.sampled_from(sorted(COMMANDS)),
+    st.booleans(),
+)
+def test_any_bytes_exit_with_a_documented_code(data, command, verify):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "doc.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        argv = [command, path, *_ARGS.get(command, ())]
+        if verify:
+            argv.append("--verify")
+        assert main(argv, out=io.StringIO()) in range(5)
+
+
+_label = st.text(string.ascii_letters + string.digits + "_.-", min_size=1,
+                 max_size=3)
+
+
+@st.composite
+def grounds(draw):
+    return GroundSet(draw(st.lists(_label, min_size=1, max_size=6, unique=True)))
+
+
+@st.composite
+def coverings(draw):
+    g = draw(grounds())
+    blocks = draw(st.lists(st.integers(1, g.full_mask), min_size=1,
+                           max_size=5, unique=True))
+    rest = g.full_mask
+    for b in blocks:
+        rest &= ~b
+    if rest:
+        blocks.append(rest)
+    caps = draw(st.lists(st.integers(0, 3), min_size=len(blocks),
+                         max_size=len(blocks)))
+    return CapacitatedCovering(g, tuple(g.mask(b) for b in blocks), tuple(caps))
+
+
+@st.composite
+def families(draw):
+    g = draw(grounds())
+    members = draw(st.lists(st.integers(0, g.full_mask), min_size=1, max_size=6))
+    return IndexedFamily(g, tuple(g.mask(b) for b in members))
+
+
+@given(coverings())
+def test_covering_document_round_trip(c):
+    assert parse_document(render_covering_document(c)).covering() == c
+
+
+@given(families())
+def test_family_document_round_trip(f):
+    assert parse_document(render_family_document(f)).family() == f

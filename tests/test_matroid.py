@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from covmatroid import constructions
 from covmatroid import (
     GroundSet,
     IndexedFamily,
@@ -235,11 +236,15 @@ _RANDOM_MATROIDS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_RANDOM_MATROIDS))
-def test_enumerations_match_powerset_definitions(kind):
+def _check_enumerations(kind):
+    """Each enumeration of a primal and its dual against the definitions;
+    the dual's bases first from a cold primal, then from a walked one."""
     rng = random.Random(f"enumerations:{kind}")
     for n in (1, 3, 5, 7, 8, 9, 10, 11):
         m = _RANDOM_MATROIDS[kind](rng, n)
+        dual_bases = _scan_definitions(m.dual())[2]
+        assert list(m.dual().bases()) == dual_bases
+        assert list(m.dual().dual().bases()) == _scan_definitions(m)[2]
         for handle in (m, m.dual()):
             indep, circuits, bases = _scan_definitions(handle)
             assert list(handle.independent_family()) == indep
@@ -247,26 +252,42 @@ def test_enumerations_match_powerset_definitions(kind):
             assert list(handle.bases()) == bases
 
 
+@pytest.mark.parametrize("kind", sorted(_RANDOM_MATROIDS))
+def test_enumerations_match_powerset_definitions(kind):
+    _check_enumerations(kind)
+
+
+@pytest.mark.parametrize("kind", ["covering", "transversal"])
+def test_enumerations_match_powerset_definitions_on_augmenting_paths(
+        monkeypatch, kind):
+    monkeypatch.setattr(constructions, "_CUT_CAP", 0)
+    _check_enumerations(kind)
+
+
 def _count_oracle_calls(m):
-    """Wrap ``m``'s independence oracle; the returned one-item list counts
-    its calls."""
+    """Wrap ``m``'s independence oracle and, where a construction filled
+    it, its extension hook (the default hook asks the wrapped oracle); the
+    returned one-item list counts the calls of both."""
     calls = [0]
-    inner = m.indep_bits
 
-    def indep_bits(bits):
-        calls[0] += 1
-        return inner(bits)
+    def counted(inner):
+        def wrapper(bits):
+            calls[0] += 1
+            return inner(bits)
+        return wrapper
 
-    m.indep_bits = indep_bits
+    m.indep_bits = counted(m.indep_bits)
+    if m._extend is not None:
+        m._extend = counted(m._extend)
     return calls
 
 
 @pytest.mark.parametrize("kind", sorted(_RANDOM_MATROIDS))
 def test_one_walk_per_handle(kind):
-    """Independents and circuits share one walk of the levels: whichever is
-    asked for second makes no oracle call, classify on a warm handle makes
-    only the calls of its rank and bases checks, and the kept families equal
-    a cold handle's member by member."""
+    """Independents, circuits and bases share one walk of the levels:
+    whichever is asked for second makes no oracle or hook call, nor do
+    bases, dual bases and classify on a warm handle, and the kept families
+    equal a cold handle's member by member."""
     for n in (1, 3, 5, 7, 9, 11):
         seed = f"one-walk:{kind}:{n}"
         for first, second in (("independent_family", "circuits"),
@@ -275,8 +296,15 @@ def test_one_walk_per_handle(kind):
             calls = _count_oracle_calls(m)
             getattr(m, first)()
             walked = calls[0]
-            assert walked >= n
+            # Every kind here fills the hook, which the walk asks once for
+            # each independent set with an element above its largest.
+            assert m._extend is not None
+            assert walked == sum(1 for i in m.independent_family()
+                                 if not i.bits >> (n - 1))
             getattr(m, second)()
+            assert calls[0] == walked
+            m.bases()
+            m.dual().bases()
             assert calls[0] == walked
             calls[0] = 0
             classify(m)
