@@ -25,7 +25,6 @@ from .classify import classify as run_classify
 from .constructions import (
     covering_as_transversal,
     covering_matroid,
-    covering_matroid_slice,
     naive_covering_family,
     partition_matroid,
     transversal_as_covering,
@@ -44,9 +43,7 @@ from .rough import (
     MatroidalSpace,
     approximation_findings,
     lower_approx,
-    matroidal_lower,
     matroidal_neighborhood,
-    matroidal_upper,
     neighborhood,
     upper_approx,
 )

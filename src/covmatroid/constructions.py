@@ -159,7 +159,9 @@ class _MatchingOracle:
     * at most ``_CUT_CAP``: the flow value is the minimum cut over block
       subsets B (max-flow min-cut).  The elements whose every admissible
       block lies in B must fit within B's total capacity, and the flow equals
-      |X| minus the worst deficiency.
+      |X| minus the worst deficiency.  The table keeps the cuts in the order
+      the block subsets are met, unsorted; it also fills the walk's
+      extension hook.
     * more: augmenting paths from an empty assignment on every query, each
       block keeping the list of the elements it holds.
 
@@ -187,9 +189,7 @@ class _MatchingOracle:
                 only = full & ~outside
                 if only.bit_count() > capsum and least.get(only, capsum) >= capsum:
                     least[only] = capsum
-            # For the extension hook: by largest element, descending (stable).
-            tops = sorted(least, key=int.bit_length, reverse=True)
-            self._cuts = tuple(zip(tops, map(least.__getitem__, tops)))
+            self._cuts = tuple(least.items())
         else:
             self.adj = tuple(
                 tuple(i for i, (bb, _) in enumerate(live) if bb >> e & 1)
@@ -252,18 +252,14 @@ class _MatchingOracle:
         return not self._unplaced(bits, True)
 
 
-def _cut_extensions(cuts: Sequence[tuple[int, int]], full: int, bits: int) -> int:
-    """The walk's extension hook from (elements, capacity) cuts sorted by
-    largest element, descending, each of which ``bits`` meets within
-    capacity: e above max(bits) extends it iff no cut holding e is full."""
-    top = bits.bit_length()
-    blocked = 0
+def _cut_extensions(cuts: Sequence[tuple[int, int]], bits: int, cand: int) -> int:
+    """The walk's extension hook from (elements, capacity) cuts, each of
+    which ``bits`` meets within capacity: a candidate e extends it iff no
+    cut holding e is full."""
     for only, capsum in cuts:
-        if not only >> top:
-            break
-        if (bits & only).bit_count() == capsum:
-            blocked |= only
-    return full >> top << top & ~blocked
+        if only & cand and (bits & only).bit_count() == capsum:
+            cand &= ~only
+    return cand
 
 
 def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
@@ -273,7 +269,7 @@ def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
     m = Matroid(ground, engine.saturates, rank_hint=engine.matching_size,
                 provenance=provenance)
     if engine._cuts is not None:
-        m._extend = partial(_cut_extensions, engine._cuts, ground.full_mask)
+        m._extend = partial(_cut_extensions, engine._cuts)
     return m
 
 
@@ -310,8 +306,7 @@ def partition_matroid(p: PartitionWitness) -> Matroid:
 
     ground = p.covering.ground
     m = Matroid(ground, indep, rank_hint=rank, provenance="partition")
-    m._extend = partial(_cut_extensions, sorted(pairs, reverse=True),
-                        ground.full_mask)
+    m._extend = partial(_cut_extensions, pairs)
     return m
 
 
@@ -400,10 +395,7 @@ def naive_covering_family(
 def is_partial_transversal(f: IndexedFamily, t: SubsetMask) -> bool:
     """True iff some injection maps each element of T to a distinct index j
     with the element inside F_j; decided by bipartite matching."""
-    engine = _MatchingOracle(
-        f.ground.n, [m.bits for m in f.members], [1] * len(f.members)
-    )
-    return engine.saturates(t.bits)
+    return transversal_matroid(f).independent(t)
 
 
 def transversal_matroid(f: IndexedFamily) -> Matroid:
@@ -432,10 +424,6 @@ def transversal_as_covering(f: IndexedFamily) -> CapacitatedCovering:
     if uncovered:
         blocks.append(uncovered)
         caps.append(0)
-    if not blocks:
-        # family of empty sets over a universe with no uncovered part is
-        # impossible (the universe is nonempty), so blocks is never empty
-        raise ValidationError("cannot build a covering from an empty family")
     return CapacitatedCovering(
         f.ground, tuple(SubsetMask(f.ground, b) for b in blocks), tuple(caps)
     )

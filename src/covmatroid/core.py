@@ -7,8 +7,8 @@ bitmasks, so all set arithmetic is plain bit arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 #: Default upper bound on ground-set size for powerset-scanning operations.
 DEFAULT_ENUM_CAP = 22

@@ -75,11 +75,12 @@ class Matroid:
     A handle is immutable (its oracle is fixed at construction), so its
     independent, circuit and base families come from one walk on first use
     and are kept for its lifetime: near the enumeration cap, millions of
-    masks.  The walk asks the private hook ``_extend(I)`` for the mask
-    {e > max I : I + e independent} of an independent I; the package's
-    constructions fill it, and by default it asks ``indep_bits`` per
-    element.  A warm :meth:`bases` reads the walk; dual bases are the
-    complements of the primal's.
+    masks.  The walk asks the private hook ``_extend(I, cand)`` for the
+    candidates e in ``cand`` with I + e independent, where I is independent
+    and ``cand`` holds elements above max I; the package's constructions
+    fill it, and by default it asks ``indep_bits`` per candidate.  A warm
+    :meth:`bases` reads the walk; dual bases are the complements of the
+    primal's.
     """
 
     __slots__ = ("ground", "indep_bits", "rank_hint", "provenance", "_extend",
@@ -144,49 +145,50 @@ class Matroid:
 
     # -- enumerations -----------------------------------------------------
 
-    def _scan_extensions(self, bits: int) -> int:
+    def _scan_extensions(self, bits: int, cand: int) -> int:
         """The default extension hook: one oracle call per candidate."""
         indep = self.indep_bits
         out = 0
-        e = 1 << bits.bit_length()
-        while e <= self.ground.full_mask:
+        while cand:
+            e = cand & -cand
+            cand ^= e
             if indep(bits | e):
                 out |= e
-            e <<= 1
         return out
 
     def _walk(self) -> tuple[SetFamily, SetFamily, SetFamily]:
         """The independent, circuit and base families in canonical order,
-        from one level-wise walk on first use.  Level k+1 extends each
-        independent k-set I, in order, by each element above I's largest,
-        which keeps lex order; by I2 every independent set and every circuit
-        has an independent prefix, so each is met once.  The extension hook
-        names the independent extensions; a dependent one is a circuit iff
-        dropping any one element of I leaves a member of level k (dropping
-        the new element leaves I).  The top level holds the bases."""
+        from one level-wise walk on first use.  Each member I of level k
+        carries cand(I), the elements above max I that its parent's hook
+        accepted (all of U for ∅); level k+1 extends each I, in order, by
+        each candidate, which keeps lex order.  By I2 no other element
+        extends I, and a dependent I + e with e outside cand(I) contains the
+        dependent (I - max I) + e, so it is no circuit.  The hook names the
+        independent extensions; a dependent one is a circuit iff dropping
+        any one element of I leaves a member of level k (dropping the new
+        element leaves I).  The top level holds the bases."""
         if self._families is None:
-            singles = [1 << e for e in range(self.ground.n)]
             extend = self._extend or self._scan_extensions
             independents = [0]
             circuits: list[int] = []
-            level = [0]
+            level = {0: self.ground.full_mask}
             while True:
-                members = set(level)
-                nxt: list[int] = []
-                for i in level:
-                    above = singles[i.bit_length():]
-                    if not above:
+                nxt: dict[int, int] = {}
+                for i, cand in level.items():
+                    if not cand:
                         continue
-                    ext = extend(i)
-                    for e in above:
+                    ext = extend(i, cand)
+                    while cand:
+                        e = cand & -cand
+                        cand ^= e
                         c = i | e
                         if ext & e:
-                            nxt.append(c)
+                            nxt[c] = ext & cand
                             continue
                         rest = i
                         while rest:
                             low = rest & -rest
-                            if c ^ low not in members:
+                            if c ^ low not in level:
                                 break
                             rest ^= low
                         else:
@@ -197,7 +199,7 @@ class Matroid:
                 level = nxt
             self._families = (SetFamily._canonical(self.ground, independents),
                               SetFamily._canonical(self.ground, circuits),
-                              SetFamily._canonical(self.ground, level))
+                              SetFamily._canonical(self.ground, list(level)))
         return self._families
 
     def independent_family(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:

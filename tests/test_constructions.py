@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from functools import partial
 
 import pytest
 
@@ -243,6 +244,11 @@ class TestTransversalCoveringConversions:
         assert [(repr(b), k) for b, k in zip(cov.blocks, cov.capacities)] == [
             ("{a}", 1), ("{b}", 0)
         ]
+        # Only empty members: the single block U with capacity 0.
+        cov = transversal_as_covering(IndexedFamily.from_labels(g, [[], []]))
+        assert [(repr(b), k) for b, k in zip(cov.blocks, cov.capacities)] == [
+            ("{a,b}", 0)
+        ]
 
     def test_duplicate_members_merge_with_summed_capacity(self):
         g = GroundSet("abc")
@@ -473,9 +479,11 @@ class TestMatchingPaths:
 
 
 class TestExtensionHook:
-    """The walk's extension hook against its contract: for each independent
-    I of a powerset scan, the mask of the elements e above max I with I + e
-    independent.  ``_CUT_CAP`` forces the matcher's path."""
+    """The walk's extension hook against its contract: for an independent I
+    of a powerset scan and a mask ``cand`` of elements above max I, the
+    candidates e with I + e independent.  ``cand`` is every element above
+    max I and random sub-masks of that.  ``_CUT_CAP`` forces the matcher's
+    path."""
 
     @staticmethod
     def handles(rng):
@@ -493,18 +501,38 @@ class TestExtensionHook:
             yield partition_matroid(p)
             yield partition_circuit_matroid(p)
 
+    @staticmethod
+    def queries(rng, m):
+        """Each independent I with every element above max I as ``cand``,
+        and with three random sub-masks of that."""
+        full = m.ground.full_mask
+        for bits in range(full + 1):
+            if m.indep_bits(bits):
+                above = full >> bits.bit_length() << bits.bit_length()
+                yield bits, above
+                for _ in range(3):
+                    yield bits, above & rng.randrange(full + 1)
+
     @pytest.mark.parametrize("cut_cap", [0, 14])
     def test_hook_names_the_independent_extensions(self, monkeypatch, cut_cap):
         monkeypatch.setattr(constructions, "_CUT_CAP", cut_cap)
+        rng = random.Random(59)
         for m in self.handles(random.Random(53)):
             if m.provenance in ("covering", "transversal"):
                 assert (m._extend is None) == (cut_cap == 0)
             else:
                 assert m._extend is not None
             extend = m._extend or m._scan_extensions
-            n = m.ground.n
-            for bits in range(1 << n):
-                if m.indep_bits(bits):
-                    assert extend(bits) == sum(
-                        1 << e for e in range(bits.bit_length(), n)
-                        if m.indep_bits(bits | 1 << e)), (m, bits)
+            for bits, cand in self.queries(rng, m):
+                assert extend(bits, cand) == sum(
+                    1 << e for e in range(m.ground.n)
+                    if cand >> e & 1 and m.indep_bits(bits | 1 << e)), (m, bits)
+
+    def test_cut_order_does_not_change_the_hook(self):
+        rng = random.Random(61)
+        for m in self.handles(random.Random(53)):
+            cuts = list(m._extend.args[0])
+            rng.shuffle(cuts)
+            shuffled = partial(constructions._cut_extensions, cuts)
+            for bits, cand in self.queries(rng, m):
+                assert shuffled(bits, cand) == m._extend(bits, cand), (m, bits)

@@ -213,3 +213,26 @@ def test_no_module_state_is_rebound_from_a_function():
         found = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Global)]
         assert not found, f"{path.name}: `global` at lines {found}"
+
+
+def test_every_imported_name_is_used():
+    # A package module (not `__init__.py`, which re-exports) references
+    # every name it imports; `from __future__` binds no name.
+    sources = sorted(pathlib.Path(covmatroid.__file__).parent.glob("*.py"))
+    assert sources
+    unused = {}
+    for path in sources:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0]
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert not unused

@@ -271,15 +271,27 @@ def _count_oracle_calls(m):
     calls = [0]
 
     def counted(inner):
-        def wrapper(bits):
+        def wrapper(*args):
             calls[0] += 1
-            return inner(bits)
+            return inner(*args)
         return wrapper
 
     m.indep_bits = counted(m.indep_bits)
     if m._extend is not None:
         m._extend = counted(m._extend)
     return calls
+
+
+def _nonempty_candidate_sets(family):
+    """How many members I of an independent family have a nonempty cand(I):
+    all of U for ∅, else the e above max I with (I - max I) + e in the
+    family."""
+    n = family.ground.n
+    members = family.bitset()
+    return sum(
+        1 for bits in members
+        if any(not bits or bits ^ (1 << bits.bit_length() >> 1) | 1 << e in members
+               for e in range(bits.bit_length(), n)))
 
 
 @pytest.mark.parametrize("kind", sorted(_RANDOM_MATROIDS))
@@ -297,10 +309,9 @@ def test_one_walk_per_handle(kind):
             getattr(m, first)()
             walked = calls[0]
             # Every kind here fills the hook, which the walk asks once for
-            # each independent set with an element above its largest.
+            # each independent I with a nonempty cand(I).
             assert m._extend is not None
-            assert walked == sum(1 for i in m.independent_family()
-                                 if not i.bits >> (n - 1))
+            assert walked == _nonempty_candidate_sets(m.independent_family())
             getattr(m, second)()
             assert calls[0] == walked
             m.bases()
