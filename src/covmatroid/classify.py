@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DEFAULT_ENUM_CAP, GroundSet, SetFamily, SubsetMask, ValidationError
+from .core import GroundSet, SubsetMask, ValidationError
 from .constructions import (
     CapacitatedCovering,
     PartitionWitness,
@@ -52,10 +52,10 @@ class ClassificationReport:
             )
 
 
-def is_2_circuit(m: Matroid, cap: int = DEFAULT_ENUM_CAP) -> bool:
+def is_2_circuit(m: Matroid) -> bool:
     """True iff every circuit has cardinality 2 (vacuously true when there
     are no circuits)."""
-    return all(c.cardinality == 2 for c in m.circuits(cap))
+    return all(c.cardinality == 2 for c in m.circuits())
 
 
 def _partition(ground: GroundSet, blocks: list[int], k: int) -> PartitionWitness:
@@ -63,96 +63,74 @@ def _partition(ground: GroundSet, blocks: list[int], k: int) -> PartitionWitness
     return PartitionWitness(CapacitatedCovering(ground, masks, (k,) * len(masks)))
 
 
-def _two_circuit_witness(ground: GroundSet, circuits: SetFamily) -> PartitionWitness:
-    """The parallel classes joined by the 2-element circuits, with capacity 1."""
-    classes = [1 << e for e in range(ground.n)]
-    for c in circuits:
-        i, j = c.indices()
-        merged = classes[i] | classes[j]
-        for e in ground.mask(merged).indices():
-            classes[e] = merged
-    return _partition(ground, sorted(set(classes)), 1)
-
-
-def _partition_circuit_witness(
-    ground: GroundSet, circuits: SetFamily
-) -> Optional[PartitionWitness]:
-    """The circuits as a partition, if they are pairwise disjoint and cover U."""
-    union = 0
-    for c in circuits:
-        if union & c.bits:
-            return None
-        union |= c.bits
-    if union != ground.full_mask:
-        return None
-    return _partition(ground, [c.bits for c in circuits], 0)
-
-
-def _verify_witness(fam: SetFamily, regen: Matroid, cap: int) -> None:
-    diff = fam.bitset() ^ regen.independent_family(cap).bitset()
+def _verify_witness(m: Matroid, regen: Matroid) -> None:
+    diff = m.independent_family().bitset() ^ regen.independent_family().bitset()
     if diff:
         raise VerificationError(
             "witness does not regenerate the matroid",
-            SubsetMask(fam.ground, min(diff, key=lambda b: (b.bit_count(), b))),
+            SubsetMask(m.ground, min(diff, key=lambda b: (b.bit_count(), b))),
         )
 
 
-def recover_partition_from_2circuit(
-    m: Matroid, cap: int = DEFAULT_ENUM_CAP
-) -> PartitionWitness:
-    """Recover the partition whose all-ones partition matroid equals M.
+def recover_partition_from_2circuit(m: Matroid) -> PartitionWitness:
+    """Recover the partition whose all-ones partition matroid equals M: the
+    parallel classes joined by the 2-element circuits.
 
     Circuit-free elements become singleton classes.  The recovered witness
     is verified by regenerating the matroid and diffing independent
     families; a mismatch raises :class:`VerificationError` carrying the
     first differing subset in canonical order.
     """
-    circuits = m.circuits(cap)
+    circuits = m.circuits()
     if any(c.cardinality != 2 for c in circuits):
         raise ValidationError("matroid has a circuit of size ≠ 2")
-    witness = _two_circuit_witness(m.ground, circuits)
-    _verify_witness(m.independent_family(cap), partition_matroid(witness), cap)
+    classes = [1 << e for e in range(m.ground.n)]
+    for c in circuits:
+        i, j = c.indices()
+        merged = classes[i] | classes[j]
+        for e in m.ground.mask(merged).indices():
+            classes[e] = merged
+    witness = _partition(m.ground, sorted(set(classes)), 1)
+    _verify_witness(m, partition_matroid(witness))
     return witness
 
 
-def is_partition_circuit(
-    m: Matroid, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[bool, Optional[PartitionWitness]]:
+def is_partition_circuit(m: Matroid) -> tuple[bool, Optional[PartitionWitness]]:
     """True iff the circuits are pairwise disjoint and cover the universe;
     on success returns the circuit family as a verified partition witness."""
-    witness = _partition_circuit_witness(m.ground, m.circuits(cap))
-    if witness is None:
+    circuits = m.circuits()
+    union = 0
+    for c in circuits:
+        if union & c.bits:
+            return False, None
+        union |= c.bits
+    if union != m.ground.full_mask:
         return False, None
-    _verify_witness(m.independent_family(cap), partition_circuit_matroid(witness), cap)
+    witness = _partition(m.ground, [c.bits for c in circuits], 0)
+    _verify_witness(m, partition_circuit_matroid(witness))
     return True, witness
 
 
-def is_double_circuit(m: Matroid, cap: int = DEFAULT_ENUM_CAP) -> bool:
+def is_double_circuit(m: Matroid) -> bool:
     """True iff all circuits of M and of its dual have cardinality 2."""
-    return is_2_circuit(m, cap) and is_2_circuit(m.dual(), cap)
+    return is_2_circuit(m) and is_2_circuit(m.dual())
 
 
-def classify(m: Matroid, cap: int = DEFAULT_ENUM_CAP) -> ClassificationReport:
+def classify(m: Matroid) -> ClassificationReport:
     """Run all taxonomy predicates and collect witnesses from one walk of
     M's levels: its circuits, and its independent family to verify a
     witness."""
-    circuits = m.circuits(cap)
-    sizes = tuple(sorted(c.cardinality for c in circuits))
+    sizes = tuple(sorted(c.cardinality for c in m.circuits()))
     two_circuit = all(s == 2 for s in sizes)
-    two_witness = _two_circuit_witness(m.ground, circuits) if two_circuit else None
-    pc_witness = _partition_circuit_witness(m.ground, circuits)
-    if two_witness:
-        _verify_witness(m.independent_family(cap), partition_matroid(two_witness), cap)
-    if pc_witness:
-        _verify_witness(
-            m.independent_family(cap), partition_circuit_matroid(pc_witness), cap)
-    self_dual = m.is_identically_self_dual(cap)
+    two_witness = recover_partition_from_2circuit(m) if two_circuit else None
+    partition_circuit, pc_witness = is_partition_circuit(m)
+    self_dual = m.is_identically_self_dual()
     # A 2-circuit M is the direct sum of its parallel classes U(1,p); each has
     # dual U(p-1,p), 2-circuit iff p = 2 iff U(1,p) is its own dual.  So M* is
     # 2-circuit iff M = M*, and the dual's circuits need no enumeration.
     return ClassificationReport(
         is_2_circuit=two_circuit,
-        is_partition_circuit=pc_witness is not None,
+        is_partition_circuit=partition_circuit,
         is_double_circuit=two_circuit and self_dual,
         is_identically_self_dual=self_dual,
         circuit_size_multiset=sizes,

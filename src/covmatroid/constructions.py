@@ -11,7 +11,6 @@ from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    DEFAULT_ENUM_CAP,
     GroundSet,
     SetFamily,
     SubsetMask,
@@ -310,7 +309,7 @@ def partition_matroid(p: PartitionWitness) -> Matroid:
     return m
 
 
-def union_matroids(ms: Sequence[Matroid], cap: int = DEFAULT_ENUM_CAP) -> Matroid:
+def union_matroids(ms: Sequence[Matroid]) -> Matroid:
     """Union of matroids on one ground set, by brute-force assignment.
 
     A set is independent iff each of its elements can be routed to one
@@ -324,7 +323,7 @@ def union_matroids(ms: Sequence[Matroid], cap: int = DEFAULT_ENUM_CAP) -> Matroi
     for m in ms[1:]:
         if m.ground != ground:
             raise ValidationError("union components must share a ground set")
-    check_enum_cap(ground.n, cap)
+    check_enum_cap(ground.n)
     oracles = tuple(m.indep_bits for m in ms)
 
     def indep(bits: int) -> bool:
@@ -376,14 +375,12 @@ def covering_matroid_slice(c: CapacitatedCovering, i: int) -> Matroid:
     return covering_matroid(c.with_capacities(caps))
 
 
-def naive_covering_family(
-    c: CapacitatedCovering, cap: int = DEFAULT_ENUM_CAP
-) -> SetFamily:
+def naive_covering_family(c: CapacitatedCovering) -> SetFamily:
     """The explicit family {X : |X ∩ K_i| ≤ k_i for all i}.
 
     Not a matroid in general; feed it to ``check_independence_axioms``.
     """
-    check_enum_cap(c.ground.n, cap)
+    check_enum_cap(c.ground.n)
     pairs = tuple((b.bits, k) for b, k in zip(c.blocks, c.capacities))
     members = []
     for bits in range(1 << c.ground.n):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-#: Default upper bound on ground-set size for powerset-scanning operations.
+#: The largest ground set that enumerations and powerset scans accept.
 DEFAULT_ENUM_CAP = 22
 
 
@@ -22,10 +22,10 @@ class SizeLimitError(RuntimeError):
     """An enumeration-heavy operation refused a too-large ground set."""
 
 
-def check_enum_cap(n: int, cap: int = DEFAULT_ENUM_CAP) -> None:
-    if n > cap:
+def check_enum_cap(n: int) -> None:
+    if n > DEFAULT_ENUM_CAP:
         raise SizeLimitError(
-            f"ground set has {n} elements; enumeration is capped at {cap}"
+            f"ground set has {n} elements; enumeration is capped at {DEFAULT_ENUM_CAP}"
         )
 
 

@@ -9,16 +9,17 @@ A document looks like::
     block: K2 = b c k=1
 
 ``kind`` is one of ``covering``, ``partition`` or ``indexed_family``.
-Block names (``NAME =``) and capacities (``k=N``, default 1) are optional.
-Blank lines and ``#`` comments are ignored.
+Block names (``NAME =``) and capacities (``k=N``, default 1) are optional;
+an element label may not contain ``=``.  Blank lines and ``#`` comments are
+ignored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
-from .core import GroundSet, SubsetMask, ValidationError
+from .core import GroundSet, ValidationError
 from .constructions import CapacitatedCovering, IndexedFamily, PartitionWitness
 
 KINDS = ("covering", "partition", "indexed_family")
@@ -34,27 +35,21 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Block:
-    name: Optional[str]
-    elements: SubsetMask
-    k: int
-
-
-@dataclass(frozen=True)
 class InputDocument:
+    """A parsed document: its kind, universe and the presentation it
+    describes, built and validated once by :func:`parse_document`."""
+
     kind: str
     ground: GroundSet
-    blocks: tuple[Block, ...]
+    presentation: Union[CapacitatedCovering, PartitionWitness, IndexedFamily]
 
     def covering(self) -> CapacitatedCovering:
-        if self.kind not in ("covering", "partition"):
-            raise ValidationError(
-                f"document kind {self.kind!r} does not describe a covering"
-            )
-        return CapacitatedCovering(
-            self.ground,
-            tuple(b.elements for b in self.blocks),
-            tuple(b.k for b in self.blocks),
+        if self.kind == "covering":
+            return self.presentation
+        if self.kind == "partition":
+            return self.presentation.covering
+        raise ValidationError(
+            f"document kind {self.kind!r} does not describe a covering"
         )
 
     def partition(self) -> PartitionWitness:
@@ -62,21 +57,21 @@ class InputDocument:
             raise ValidationError(
                 f"document kind {self.kind!r} does not describe a partition"
             )
-        return PartitionWitness(self.covering())
+        return self.presentation
 
     def family(self) -> IndexedFamily:
         if self.kind != "indexed_family":
             raise ValidationError(
                 f"document kind {self.kind!r} does not describe an indexed family"
             )
-        return IndexedFamily(self.ground, tuple(b.elements for b in self.blocks))
+        return self.presentation
 
 
 def parse_document(text: str) -> InputDocument:
     fmt: Optional[str] = None
     kind: Optional[str] = None
     ground: Optional[GroundSet] = None
-    raw_blocks: list[tuple[int, Optional[str], list[str], int]] = []
+    raw_blocks: list[tuple[int, list[str], int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -107,12 +102,13 @@ def parse_document(text: str) -> InputDocument:
                 ground = GroundSet(labels)
             except ValidationError as exc:
                 raise ParseError(str(exc), lineno) from None
+            for lab in labels:
+                if "=" in lab:
+                    raise ParseError(f"element label {lab!r} contains '='", lineno)
         elif key == "block" or key == "member":
-            name = None
             body = value
-            if "=" in body.split("k=", 1)[0]:
-                name, _, body = body.partition("=")
-                name = name.strip()
+            if "=" in body.split("k=", 1)[0]:  # skip a block name, ``NAME =``
+                body = body.partition("=")[2]
             tokens = body.replace(",", " ").split()
             k = 1
             elems = []
@@ -126,7 +122,7 @@ def parse_document(text: str) -> InputDocument:
                         raise ParseError("capacity must be nonnegative", lineno)
                 else:
                     elems.append(tok)
-            raw_blocks.append((lineno, name, elems, k))
+            raw_blocks.append((lineno, elems, k))
         else:
             raise ParseError(f"unknown key {key!r}", lineno)
 
@@ -139,24 +135,24 @@ def parse_document(text: str) -> InputDocument:
     if not raw_blocks:
         raise ParseError("document lists no blocks")
 
-    blocks = []
-    for lineno, name, elems, k in raw_blocks:
+    masks = []
+    for lineno, elems, _ in raw_blocks:
         try:
-            mask = ground.subset(elems)
+            masks.append(ground.subset(elems))
         except ValidationError as exc:
             raise ParseError(str(exc), lineno) from None
-        blocks.append(Block(name, mask, k))
 
-    doc = InputDocument(kind, ground, tuple(blocks))
+    if kind == "indexed_family":
+        return InputDocument(kind, ground, IndexedFamily(ground, tuple(masks)))
     # surface covering/partition structural problems as parse-stage errors
     try:
-        if kind == "covering":
-            doc.covering()
-        elif kind == "partition":
-            doc.partition()
+        presentation = CapacitatedCovering(
+            ground, tuple(masks), tuple(k for _, _, k in raw_blocks))
+        if kind == "partition":
+            presentation = PartitionWitness(presentation)
     except ValidationError as exc:
         raise ParseError(str(exc)) from None
-    return doc
+    return InputDocument(kind, ground, presentation)
 
 
 def parse_file(path: str) -> InputDocument:

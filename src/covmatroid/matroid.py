@@ -14,7 +14,6 @@ from itertools import combinations, permutations
 from typing import Callable, Optional
 
 from .core import (
-    DEFAULT_ENUM_CAP,
     GroundSet,
     SetFamily,
     SizeLimitError,
@@ -74,7 +73,8 @@ class Matroid:
 
     A handle is immutable (its oracle is fixed at construction), so its
     independent, circuit and base families come from one walk on first use
-    and are kept for its lifetime: near the enumeration cap, millions of
+    and are kept for its lifetime: near the fixed enumeration cap, n ≤
+    ``DEFAULT_ENUM_CAP`` = 22, which the walk checks first, millions of
     masks.  The walk asks the private hook ``_extend(I, cand)`` for the
     candidates e in ``cand`` with I + e independent, where I is independent
     and ``cand`` holds elements above max I; the package's constructions
@@ -168,6 +168,7 @@ class Matroid:
         any one element of I leaves a member of level k (dropping the new
         element leaves I).  The top level holds the bases."""
         if self._families is None:
+            check_enum_cap(self.ground.n)
             extend = self._extend or self._scan_extensions
             independents = [0]
             circuits: list[int] = []
@@ -202,27 +203,25 @@ class Matroid:
                               SetFamily._canonical(self.ground, list(level)))
         return self._families
 
-    def independent_family(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:
-        check_enum_cap(self.ground.n, cap)
+    def independent_family(self) -> SetFamily:
         return self._walk()[0]
 
-    def circuits(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:
+    def circuits(self) -> SetFamily:
         """Minimal dependent sets: the dependent one-element extensions of
         independent sets whose one-element deletions are all independent."""
-        check_enum_cap(self.ground.n, cap)
         return self._walk()[1]
 
-    def bases(self, cap: int = DEFAULT_ENUM_CAP) -> SetFamily:
+    def bases(self) -> SetFamily:
         """Maximal independent sets in canonical order: a walked handle's top
         level, a dual handle's primal bases complemented (which reverses
         canonical order within one size), else the independent r(U)-subsets,
         so a cold handle near the cap keeps no 2^n masks."""
-        check_enum_cap(self.ground.n, cap)
         if self._families is not None:
             return self._families[2]
+        check_enum_cap(self.ground.n)
         full = self.ground.full_mask
         if self._dual_of is not None:
-            primal = self._dual_of.bases(cap)._ordered
+            primal = self._dual_of.bases()._ordered
             return SetFamily._canonical(self.ground,
                                         [full ^ b for b in reversed(primal)])
         r = self.rank_bits(full)
@@ -256,26 +255,27 @@ class Matroid:
         dual._dual_of = self
         return dual
 
-    def is_identically_self_dual(self, cap: int = DEFAULT_ENUM_CAP) -> bool:
+    def is_identically_self_dual(self) -> bool:
         """True iff M = M* (not merely isomorphic): as B(M*) = {U−B : B ∈ B(M)},
         iff the base family is closed under complement in U."""
-        check_enum_cap(self.ground.n, cap)
+        check_enum_cap(self.ground.n)
         # A base complement has n − r(U) elements, so it can be a base only
         # when 2·r(U) = n.
         if 2 * self.rank_bits(self.ground.full_mask) != self.ground.n:
             return False
-        bases = self.bases(cap).bitset()
+        bases = self.bases().bitset()
         return all(self.ground.full_mask & ~b in bases for b in bases)
 
     # -- misc -------------------------------------------------------------
 
-    def audit_rank_hint(self, samples: int = 100, seed: int = 0) -> None:
-        """Spot-check the closed-form rank against greedy rank."""
+    def audit_rank_hint(self) -> None:
+        """Spot-check the closed-form rank against greedy rank on 100 seeded
+        random subsets."""
         if self.rank_hint is None:
             return
-        rng = random.Random(seed)
+        rng = random.Random(0)
         full = self.ground.full_mask
-        for _ in range(samples):
+        for _ in range(100):
             bits = rng.randrange(full + 1)
             if self.rank_hint(bits) != self.greedy_rank_bits(bits):
                 raise ValidationError(
@@ -286,12 +286,10 @@ class Matroid:
         return f"Matroid(n={self.ground.n}, provenance={self.provenance!r})"
 
 
-def check_independence_axioms(
-    family: SetFamily, cap: int = DEFAULT_ENUM_CAP
-) -> AxiomCertificate:
+def check_independence_axioms(family: SetFamily) -> AxiomCertificate:
     """Check I1, I2, I3 in order, reporting the first violated axiom with
     witnesses that are minimal in canonical order."""
-    check_enum_cap(family.ground.n, cap)
+    check_enum_cap(family.ground.n)
     bitset = family.bitset()
     if 0 not in bitset:
         return AxiomCertificate(VIOLATES_I1)
@@ -333,14 +331,14 @@ def check_independence_axioms(
 
 
 def are_isomorphic(
-    m1: Matroid, m2: Matroid, cap: int = DEFAULT_ISO_CAP
+    m1: Matroid, m2: Matroid
 ) -> tuple[bool, Optional[dict[str, str]]]:
     """Search for a label bijection mapping one independent family onto the
     other.  Cheap invariants (size, rank, circuit-size multiset) prune the
     factorial search."""
-    if m1.ground.n > cap or m2.ground.n > cap:
+    if m1.ground.n > DEFAULT_ISO_CAP or m2.ground.n > DEFAULT_ISO_CAP:
         raise SizeLimitError(
-            f"isomorphism search is capped at n ≤ {cap}"
+            f"isomorphism search is capped at n ≤ {DEFAULT_ISO_CAP}"
         )
     if m1.ground.n != m2.ground.n:
         return False, None

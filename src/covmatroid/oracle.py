@@ -114,13 +114,13 @@ def bf_matching(f: IndexedFamily, t: SubsetMask) -> bool:
     return False
 
 
-def bf_dual_family(m: Matroid, cap: int = _BF_DUAL_CAP) -> SetFamily:
+def bf_dual_family(m: Matroid) -> SetFamily:
     """Independent family of the dual, materialized as all subsets of
     base-complements.  The bases are the largest independent sets of a
     plain scan over every subset, not ``m.bases()``."""
     n = m.ground.n
-    if n > cap:
-        raise SizeLimitError(f"brute-force dual is capped at n ≤ {cap}")
+    if n > _BF_DUAL_CAP:
+        raise SizeLimitError(f"brute-force dual is capped at n ≤ {_BF_DUAL_CAP}")
     indep = [bits for bits in range(1 << n) if m.indep_bits(bits)]
     r = max(bits.bit_count() for bits in indep)
     full = m.ground.full_mask

@@ -200,7 +200,6 @@ def test_enum_cap():
     check_enum_cap(22)
     with pytest.raises(SizeLimitError):
         check_enum_cap(23)
-    check_enum_cap(23, cap=23)
 
 
 def test_no_module_state_is_rebound_from_a_function():

@@ -7,9 +7,15 @@ import os
 import string
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from covmatroid import CapacitatedCovering, GroundSet, IndexedFamily
+from covmatroid import (
+    CapacitatedCovering,
+    GroundSet,
+    IndexedFamily,
+    transversal_as_covering,
+)
 from covmatroid.cli import COMMANDS, main
 from covmatroid.io import (
     InputDocument,
@@ -135,3 +141,45 @@ def test_covering_document_round_trip(c):
 @given(families())
 def test_family_document_round_trip(f):
     assert parse_document(render_family_document(f)).family() == f
+
+
+def _convert(text):
+    """Exit code and stdout of ``covmatroid convert`` on ``text``."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "doc.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = io.StringIO()
+        return main(["convert", path], out=out), out.getvalue()
+
+
+@pytest.mark.parametrize("universe, block, label", [
+    # ``k=1`` would be read as a capacity on every block line.
+    ("k=1 a", "a", "k=1"),
+    # ``p=q`` would be read as block name ``p`` plus element ``q``.
+    ("p=q q", "p=q", "p=q"),
+])
+def test_a_label_with_an_equals_sign_is_a_parse_error(universe, block, label):
+    text = f"format: 1\nkind: indexed_family\nuniverse: {universe}\nblock: {block}\n"
+    with pytest.raises(ParseError) as info:
+        parse_document(text)
+    assert info.value.line == 3
+    assert str(info.value) == f"line 3: element label {label!r} contains '='"
+    assert _convert(text) == (1, "")
+
+
+@given(st.lists(st.text("ak=1", min_size=1, max_size=3), min_size=1,
+                max_size=4, unique=True), st.data())
+def test_convert_of_a_family_parses_back(labels, data):
+    members = data.draw(st.lists(st.lists(st.sampled_from(labels), max_size=3),
+                                 min_size=1, max_size=4))
+    text = "\n".join(["format: 1", "kind: indexed_family",
+                      "universe: " + " ".join(labels)]
+                     + ["block: " + " ".join(m) for m in members])
+    try:
+        doc = parse_document(text)
+    except ParseError:
+        return
+    code, out = _convert(text)
+    assert code == 0
+    assert parse_document(out).covering() == transversal_as_covering(doc.family())

@@ -13,13 +13,18 @@ from covmatroid import (
     check_independence_axioms,
     classify,
     family_max,
+    is_2_circuit,
+    is_double_circuit,
+    is_partition_circuit,
     k_rank_matroid,
     partition_matroid,
     PartitionWitness,
     CapacitatedCovering,
     covering_matroid,
     naive_covering_family,
+    recover_partition_from_2circuit,
     transversal_matroid,
+    union_matroids,
 )
 from covmatroid.oracle import bf_dual_family, bf_rank
 
@@ -81,9 +86,9 @@ class TestAxiomCheck:
         assert repr(i) == "{a,b}" and repr(sub) == "{a}"
 
     def test_size_limit(self):
-        g = GroundSet("abc")
+        g = GroundSet(f"e{i}" for i in range(23))
         with pytest.raises(SizeLimitError):
-            check_independence_axioms(fam(g, ""), cap=2)
+            check_independence_axioms(fam(g, ""))
 
     def test_i3_witness_matches_a_full_pair_scan(self):
         # Naive covering families satisfy I1 and I2, so the verdict turns on
@@ -328,16 +333,73 @@ def test_one_walk_per_handle(kind):
             assert list(m.circuits()) == list(cold.circuits())
 
 
+_OVER_THE_CAP = {
+    "covering": lambda rng: covering_matroid(random_covering(rng, 23, 8)),
+    "partition": lambda rng: _random_partition(rng, 23),
+    "transversal": lambda rng: _random_transversal(rng, 23),
+}
+
+_CAPPED_ENUMERATIONS = (
+    Matroid.independent_family,
+    Matroid.circuits,
+    Matroid.bases,
+    Matroid.is_identically_self_dual,
+    classify,
+    is_2_circuit,
+    is_partition_circuit,
+    recover_partition_from_2circuit,
+    is_double_circuit,
+    lambda m: union_matroids([m, m]),
+    lambda m: check_independence_axioms(SetFamily(m.ground, [0])),
+)
+
+
+def _raises_before_any_call(call, handles, message):
+    """``call()`` raises ``SizeLimitError`` with exactly ``message`` and asks
+    no oracle, extension hook or rank function of ``handles``."""
+    calls = [_count_oracle_calls(h) for h in handles]
+    for h, counter in zip(handles, calls):
+        rank = h.rank_hint
+
+        def counted_rank(bits, rank=rank, counter=counter):
+            counter[0] += 1
+            return rank(bits)
+
+        h.rank_hint = counted_rank
+    with pytest.raises(SizeLimitError) as info:
+        call()
+    assert str(info.value) == message
+    assert [c[0] for c in calls] == [0] * len(handles)
+
+
+@pytest.mark.parametrize("kind", sorted(_OVER_THE_CAP))
+def test_every_enumeration_refuses_23_elements_before_any_oracle_call(kind):
+    """With n = 23 (odd, so 2·r(U) ≠ n), each enumeration of a cold handle
+    and of its dual raises before it asks either handle anything."""
+    message = "ground set has 23 elements; enumeration is capped at 22"
+    for fn in _CAPPED_ENUMERATIONS:
+        for side in (0, 1):
+            m = _OVER_THE_CAP[kind](random.Random(f"over-the-cap:{kind}"))
+            handles = (m, m.dual())
+            _raises_before_any_call(lambda: fn(handles[side]), handles, message)
+
+
+def test_the_naive_family_and_the_brute_force_dual_keep_their_caps():
+    covering = random_covering(random.Random("over-the-cap"), 23, 8)
+    _raises_before_any_call(
+        lambda: naive_covering_family(covering), (),
+        "ground set has 23 elements; enumeration is capped at 22")
+    m = free_matroid(17)
+    _raises_before_any_call(lambda: bf_dual_family(m), (m,),
+                            "brute-force dual is capped at n ≤ 16")
+
+
 @pytest.mark.parametrize("kind", sorted(_RANDOM_MATROIDS))
 def test_warm_handle_keeps_the_cap_and_its_dual_walks_its_own(kind):
     rng = random.Random(f"warm-cap:{kind}")
     for n in (2, 4, 6, 8, 10):
         m = _RANDOM_MATROIDS[kind](rng, n)
         m.independent_family()
-        with pytest.raises(SizeLimitError):
-            m.independent_family(cap=n - 1)
-        with pytest.raises(SizeLimitError):
-            m.circuits(cap=n - 1)
         dual = m.dual()
         expected = bf_dual_family(m)
         assert list(dual.independent_family()) == list(expected)
@@ -393,8 +455,8 @@ class TestIsomorphism:
 
     def test_size_limit(self):
         m = free_matroid(9)
-        with pytest.raises(SizeLimitError):
-            are_isomorphic(m, m)
+        _raises_before_any_call(lambda: are_isomorphic(m, m), (m,),
+                                "isomorphism search is capped at n ≤ 8")
 
 
 class TestSelfDual:
