@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     GroundSet,
@@ -251,14 +251,30 @@ class _MatchingOracle:
         return not self._unplaced(bits, True)
 
 
-def _cut_extensions(cuts: Sequence[tuple[int, int]], bits: int, cand: int) -> int:
+def _cut_hook(cuts: Sequence[tuple[int, int]], n: int) -> Callable[[int, int], int]:
     """The walk's extension hook from (elements, capacity) cuts, each of
     which ``bits`` meets within capacity: a candidate e extends it iff no
-    cut holding e is full."""
-    for only, capsum in cuts:
-        if only & cand and (bits & only).bit_count() == capsum:
-            cand &= ~only
-    return cand
+    cut holding e is full.  For I ≠ ∅ only the cuts holding max I need a
+    count: the walk hands in only candidates e with (I - max I) + e
+    independent, so no cut full on I - max I holds one, and a cut without
+    max I is as full on I as on I - max I.  So the hook reads slot
+    ``bits.bit_length()`` of an index built here, once per walk: slot 0
+    holds every cut (for I = ∅), slot e + 1 the cuts holding e."""
+    by_top = [list(cuts)] + [[] for _ in range(n)]
+    for cut in cuts:
+        rest = cut[0]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            by_top[low.bit_length()].append(cut)
+
+    def extend(bits: int, cand: int) -> int:
+        for only, capsum in by_top[bits.bit_length()]:
+            if only & cand and (bits & only).bit_count() == capsum:
+                cand &= ~only
+        return cand
+
+    return extend
 
 
 def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
@@ -268,7 +284,7 @@ def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
     m = Matroid(ground, engine.saturates, rank_hint=engine.matching_size,
                 provenance=provenance)
     if engine._cuts is not None:
-        m._extend = partial(_cut_extensions, engine._cuts)
+        m._extend = partial(_cut_hook, engine._cuts, ground.n)
     return m
 
 
@@ -305,7 +321,7 @@ def partition_matroid(p: PartitionWitness) -> Matroid:
 
     ground = p.covering.ground
     m = Matroid(ground, indep, rank_hint=rank, provenance="partition")
-    m._extend = partial(_cut_extensions, pairs)
+    m._extend = partial(_cut_hook, pairs, ground.n)
     return m
 
 

@@ -106,10 +106,12 @@ def parse_document(text: str) -> InputDocument:
                 if "=" in lab:
                     raise ParseError(f"element label {lab!r} contains '='", lineno)
         elif key == "block" or key == "member":
-            body = value
-            if "=" in body.split("k=", 1)[0]:  # skip a block name, ``NAME =``
-                body = body.partition("=")[2]
-            tokens = body.replace(",", " ").split()
+            # Labels hold no '=', so the first '=' ends a block name, ``NAME =``,
+            # unless it is the one of a ``k=N`` capacity.
+            eq = value.find("=")
+            if eq >= 0 and value[:eq + 1].replace(",", " ").split()[-1] != "k=":
+                value = value[eq + 1:]
+            tokens = value.replace(",", " ").split()
             k = 1
             elems = []
             for tok in tokens:

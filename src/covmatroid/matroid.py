@@ -75,10 +75,14 @@ class Matroid:
     independent, circuit and base families come from one walk on first use
     and are kept for its lifetime: near the fixed enumeration cap, n ≤
     ``DEFAULT_ENUM_CAP`` = 22, which the walk checks first, millions of
-    masks.  The walk asks the private hook ``_extend(I, cand)`` for the
+    masks.  The walk asks an extension hook ``extend(I, cand)`` for the
     candidates e in ``cand`` with I + e independent, where I is independent
-    and ``cand`` holds elements above max I; the package's constructions
-    fill it, and by default it asks ``indep_bits`` per candidate.  A warm
+    and ``cand`` holds only elements e above max I with (I - max I) + e
+    independent (any elements for I = ∅).  By default the hook asks
+    ``indep_bits`` per candidate; the package's constructions instead fill
+    the private ``_extend``, a factory the walk calls once for a hook that
+    may rely on that precondition (the cut hook indexes its cuts by element
+    there, so handles that never walk never build the index).  A warm
     :meth:`bases` reads the walk; dual bases are the complements of the
     primal's.
     """
@@ -99,7 +103,7 @@ class Matroid:
         self.indep_bits = indep_bits
         self.rank_hint = rank_hint
         self.provenance = provenance
-        self._extend: Optional[Callable[[int], int]] = None
+        self._extend: Optional[Callable[[], Callable[[int, int], int]]] = None
         self._dual_of: Optional[Matroid] = None
         self._families: Optional[tuple[SetFamily, SetFamily, SetFamily]] = None
 
@@ -161,15 +165,16 @@ class Matroid:
         from one level-wise walk on first use.  Each member I of level k
         carries cand(I), the elements above max I that its parent's hook
         accepted (all of U for ∅); level k+1 extends each I, in order, by
-        each candidate, which keeps lex order.  By I2 no other element
+        each element e the hook accepts, which keeps lex order, and I + e
+        carries the accepted elements above e.  By I2 no other element
         extends I, and a dependent I + e with e outside cand(I) contains the
-        dependent (I - max I) + e, so it is no circuit.  The hook names the
-        independent extensions; a dependent one is a circuit iff dropping
-        any one element of I leaves a member of level k (dropping the new
-        element leaves I).  The top level holds the bases."""
+        dependent (I - max I) + e, so it is no circuit.  The rest of cand(I)
+        are the dependent extensions; one is a circuit iff dropping any one
+        element of I leaves a member of level k (dropping the new element
+        leaves I).  The top level holds the bases."""
         if self._families is None:
             check_enum_cap(self.ground.n)
-            extend = self._extend or self._scan_extensions
+            extend = self._extend() if self._extend else self._scan_extensions
             independents = [0]
             circuits: list[int] = []
             level = {0: self.ground.full_mask}
@@ -179,13 +184,15 @@ class Matroid:
                     if not cand:
                         continue
                     ext = extend(i, cand)
-                    while cand:
-                        e = cand & -cand
-                        cand ^= e
+                    dep = cand ^ ext
+                    while ext:
+                        e = ext & -ext
+                        ext ^= e
+                        nxt[i | e] = ext
+                    while dep:
+                        e = dep & -dep
+                        dep ^= e
                         c = i | e
-                        if ext & e:
-                            nxt[c] = ext & cand
-                            continue
                         rest = i
                         while rest:
                             low = rest & -rest

@@ -1,6 +1,5 @@
 import random
 from collections import deque
-from functools import partial
 
 import pytest
 
@@ -478,12 +477,76 @@ class TestMatchingPaths:
                 assert slc.rank_bits(bits) == kr.rank_bits(bits)
 
 
+class TestPastSixtyFourElements:
+    """The engine at n = 96–128, as far as the query bench goes: on seeded
+    coverings of at most ten blocks the cut path and augmenting paths, each
+    forced by ``_CUT_CAP``, agree on independence, rank and closure, and
+    rank keeps its axioms on sampled sets."""
+
+    @staticmethod
+    def handles(monkeypatch):
+        rng = random.Random(67)
+        for _ in range(10):
+            cov = random_covering(rng, rng.randint(96, 128), rng.randint(6, 10),
+                                  kmax=4, kmin=0)
+            monkeypatch.setattr(constructions, "_CUT_CAP", 10)
+            cut = covering_matroid(cov)
+            monkeypatch.setattr(constructions, "_CUT_CAP", 0)
+            aug = covering_matroid(cov)
+            assert cut._extend is not None and aug._extend is None
+            yield cov.ground, cut, aug
+
+    @staticmethod
+    def query(rng, n, r):
+        """A sparse set around the rank of U, or a dense one."""
+        if rng.random() < 0.7:
+            return sum(1 << e for e in rng.sample(range(n), rng.randint(0, r + 3)))
+        return random_query(rng, n)
+
+    def test_cut_and_augmenting_paths_agree(self, monkeypatch):
+        rng = random.Random(71)
+        verdicts = set()
+        grown = False
+        for ground, cut, aug in self.handles(monkeypatch):
+            n = ground.n
+            r = cut.rank_bits(ground.full_mask)
+            assert aug.rank_bits(ground.full_mask) == r
+            for _ in range(40):
+                bits = self.query(rng, n, r)
+                verdicts.add(cut.indep_bits(bits))
+                assert cut.indep_bits(bits) == aug.indep_bits(bits), (n, bits)
+                assert cut.rank_bits(bits) == aug.rank_bits(bits), (n, bits)
+            for _ in range(4):
+                x = ground.mask(self.query(rng, n, r))
+                closure = cut.closure(x)
+                assert closure == aug.closure(x), (n, x.bits)
+                assert cut.rank(closure) == cut.rank(x)
+                grown |= closure != x
+        assert verdicts == {False, True} and grown
+
+    def test_rank_axioms_on_sampled_pairs(self, monkeypatch):
+        rng = random.Random(73)
+        for ground, cut, aug in self.handles(monkeypatch):
+            n = ground.n
+            r_full = cut.rank_bits(ground.full_mask)
+            for m in (cut, aug):
+                for _ in range(15):
+                    x = self.query(rng, n, r_full)
+                    y = self.query(rng, n, r_full)
+                    rx, ry = m.rank_bits(x), m.rank_bits(y)
+                    r_or, r_and = m.rank_bits(x | y), m.rank_bits(x & y)
+                    assert 0 <= rx <= min(x.bit_count(), r_full)
+                    assert rx <= r_or and r_and <= min(rx, ry)
+                    assert r_or + r_and <= rx + ry
+
+
 class TestExtensionHook:
-    """The walk's extension hook against its contract: for an independent I
-    of a powerset scan and a mask ``cand`` of elements above max I, the
-    candidates e with I + e independent.  ``cand`` is every element above
-    max I and random sub-masks of that.  ``_CUT_CAP`` forces the matcher's
-    path."""
+    """The walk's extension hooks against their contract: for an independent
+    I of a powerset scan and a mask ``cand`` drawn from the parent's
+    independent extensions above max I, {e > max I : (I - max I) + e
+    independent} (any elements for I = ∅), the candidates e with I + e
+    independent.  ``cand`` is the whole of that set and random sub-masks
+    of it.  ``_CUT_CAP`` forces the matcher's path."""
 
     @staticmethod
     def handles(rng):
@@ -503,15 +566,20 @@ class TestExtensionHook:
 
     @staticmethod
     def queries(rng, m):
-        """Each independent I with every element above max I as ``cand``,
-        and with three random sub-masks of that."""
+        """Each independent I with the parent's independent extensions above
+        max I as ``cand`` (all of U for ∅), and with three random sub-masks
+        of that."""
         full = m.ground.full_mask
         for bits in range(full + 1):
             if m.indep_bits(bits):
-                above = full >> bits.bit_length() << bits.bit_length()
-                yield bits, above
+                top = bits.bit_length()
+                parent = bits ^ (1 << top >> 1)
+                allowed = full if not bits else sum(
+                    1 << e for e in range(top, m.ground.n)
+                    if m.indep_bits(parent | 1 << e))
+                yield bits, allowed
                 for _ in range(3):
-                    yield bits, above & rng.randrange(full + 1)
+                    yield bits, allowed & rng.randrange(full + 1)
 
     @pytest.mark.parametrize("cut_cap", [0, 14])
     def test_hook_names_the_independent_extensions(self, monkeypatch, cut_cap):
@@ -522,7 +590,7 @@ class TestExtensionHook:
                 assert (m._extend is None) == (cut_cap == 0)
             else:
                 assert m._extend is not None
-            extend = m._extend or m._scan_extensions
+            extend = m._extend() if m._extend else m._scan_extensions
             for bits, cand in self.queries(rng, m):
                 assert extend(bits, cand) == sum(
                     1 << e for e in range(m.ground.n)
@@ -531,8 +599,10 @@ class TestExtensionHook:
     def test_cut_order_does_not_change_the_hook(self):
         rng = random.Random(61)
         for m in self.handles(random.Random(53)):
-            cuts = list(m._extend.args[0])
+            cuts, n = m._extend.args
+            cuts = list(cuts)
             rng.shuffle(cuts)
-            shuffled = partial(constructions._cut_extensions, cuts)
+            shuffled = constructions._cut_hook(cuts, n)
+            extend = m._extend()
             for bits, cand in self.queries(rng, m):
-                assert shuffled(bits, cand) == m._extend(bits, cand), (m, bits)
+                assert shuffled(bits, cand) == extend(bits, cand), (m, bits)

@@ -168,6 +168,17 @@ def test_a_label_with_an_equals_sign_is_a_parse_error(universe, block, label):
     assert _convert(text) == (1, "")
 
 
+def test_a_block_name_ending_in_k_is_not_a_capacity():
+    # Labels hold no "=", so ``Blk=`` is a name even though it ends in ``k=``.
+    text = ("format: 1\nkind: covering\nuniverse: a b c\n"
+            "block: Blk= a b k=2\nblock: Blk = b c\nblock: K1= a c k=2\n"
+            "block: k=2 c\n")
+    c = parse_document(text).covering()
+    assert [b.labels() for b in c.blocks] == [("a", "b"), ("b", "c"),
+                                              ("a", "c"), ("c",)]
+    assert c.capacities == (2, 1, 2, 2)
+
+
 @given(st.lists(st.text("ak=1", min_size=1, max_size=3), min_size=1,
                 max_size=4, unique=True), st.data())
 def test_convert_of_a_family_parses_back(labels, data):

@@ -271,9 +271,10 @@ def test_enumerations_match_powerset_definitions_on_augmenting_paths(
 
 def _count_oracle_calls(m):
     """Wrap ``m``'s independence oracle and, where a construction filled
-    it, its extension hook (the default hook asks the wrapped oracle); the
-    returned one-item list counts the calls of both."""
-    calls = [0]
+    the hook factory, the extension hook it builds for a walk (the default
+    hook asks the wrapped oracle).  In the returned list, item 0 counts the
+    calls of both and item 1 the hooks built."""
+    calls = [0, 0]
 
     def counted(inner):
         def wrapper(*args):
@@ -283,7 +284,13 @@ def _count_oracle_calls(m):
 
     m.indep_bits = counted(m.indep_bits)
     if m._extend is not None:
-        m._extend = counted(m._extend)
+        factory = m._extend
+
+        def build():
+            calls[1] += 1
+            return counted(factory())
+
+        m._extend = build
     return calls
 
 
@@ -303,8 +310,9 @@ def _nonempty_candidate_sets(family):
 def test_one_walk_per_handle(kind):
     """Independents, circuits and bases share one walk of the levels:
     whichever is asked for second makes no oracle or hook call, nor do
-    bases, dual bases and classify on a warm handle, and the kept families
-    equal a cold handle's member by member."""
+    bases, dual bases and classify on a warm handle; the hook is built once,
+    by the walk; and the kept families equal a cold handle's member by
+    member."""
     for n in (1, 3, 5, 7, 9, 11):
         seed = f"one-walk:{kind}:{n}"
         for first, second in (("independent_family", "circuits"),
@@ -328,6 +336,7 @@ def test_one_walk_per_handle(kind):
             calls[0] = 0
             m.is_identically_self_dual()
             assert in_classify == calls[0]
+            assert calls[1] == 1  # the walk built the hook, nothing else did
             cold = _RANDOM_MATROIDS[kind](random.Random(seed), n)
             assert list(m.independent_family()) == list(cold.independent_family())
             assert list(m.circuits()) == list(cold.circuits())
@@ -356,7 +365,8 @@ _CAPPED_ENUMERATIONS = (
 
 def _raises_before_any_call(call, handles, message):
     """``call()`` raises ``SizeLimitError`` with exactly ``message`` and asks
-    no oracle, extension hook or rank function of ``handles``."""
+    no oracle, extension hook or rank function of ``handles``, nor builds
+    a hook."""
     calls = [_count_oracle_calls(h) for h in handles]
     for h, counter in zip(handles, calls):
         rank = h.rank_hint
@@ -370,6 +380,7 @@ def _raises_before_any_call(call, handles, message):
         call()
     assert str(info.value) == message
     assert [c[0] for c in calls] == [0] * len(handles)
+    assert [c[1] for c in calls] == [0] * len(handles)
 
 
 @pytest.mark.parametrize("kind", sorted(_OVER_THE_CAP))
