@@ -23,6 +23,7 @@ from .core import (
 )
 from .classify import classify as run_classify
 from .constructions import (
+    CapacitatedCovering,
     covering_as_transversal,
     covering_matroid,
     naive_covering_family,
@@ -220,16 +221,22 @@ def cmd_dual(doc: InputDocument, args, out) -> None:
         print("verify: OK", file=out)
 
 
+def _matroidal_space(cov: CapacitatedCovering) -> MatroidalSpace:
+    """``cov`` as a matroidal space; a capacity below 1 fails a
+    precondition of the matroidal forms and is no input error."""
+    try:
+        return MatroidalSpace(cov)
+    except ValidationError as exc:
+        raise PreconditionError(str(exc)) from None
+
+
 def cmd_neighborhood(doc: InputDocument, args, out) -> None:
     cov = doc.covering()
     space = ApproximationSpace(doc.ground, cov.block_family())
     n = neighborhood(space, args.element)
     print(f"N({args.element}) = {format_set(n)}", file=out)
     if args.matroidal:
-        if any(k < 1 for k in cov.capacities):
-            raise PreconditionError("matroidal operators require all capacities ≥ 1")
-        ms = MatroidalSpace(cov)
-        mn = matroidal_neighborhood(ms, args.element)
+        mn = matroidal_neighborhood(_matroidal_space(cov), args.element)
         verdict = "AGREE" if mn.bits == n.bits else "DISAGREE"
         print(f"matroidal N({args.element}) = {format_set(mn)} {verdict}", file=out)
         if verdict == "DISAGREE":
@@ -245,10 +252,8 @@ def cmd_approx(doc: InputDocument, args, out) -> None:
     if not args.matroidal:
         print(f"SL={format_set(sl)} SH={format_set(sh)}", file=out)
         return
-    if any(k < 1 for k in cov.capacities):
-        raise PreconditionError("matroidal operators require all capacities ≥ 1")
-    ms = MatroidalSpace(cov)
-    findings = approximation_findings(ms, x, via_covering=args.verify)
+    findings = approximation_findings(_matroidal_space(cov), x,
+                                      via_covering=args.verify)
     verdict = "AGREE" if not findings else "DISAGREE"
     print(f"N/A for sets; SL={format_set(sl)} SH={format_set(sh)} {verdict}", file=out)
     for finding in findings:

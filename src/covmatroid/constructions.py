@@ -145,110 +145,41 @@ class IndexedFamily:
         return u
 
 
-class _MatchingOracle:
-    """Maximum bipartite flow between elements and capacitated blocks.
+def _unplaced(caps: Sequence[int], adj: Sequence[Sequence[int]], bits: int,
+              first_only: bool) -> int:
+    """How many elements of ``bits`` find no augmenting path when placed in
+    ascending order, element e admitted by the blocks ``adj[e]`` and block
+    i holding up to ``caps[i]``; with ``first_only`` it stops at the first.
+    Each block keeps the list of the elements it holds."""
+    held: list[list[int]] = [[] for _ in caps]
 
-    Elements of a query set sit on one side; block i accepts up to caps[i]
-    of its own elements.  A set is independent iff a full assignment exists.
-
-    Zero-capacity blocks are dropped first: such a block takes no element,
-    so it can never improve a cut or an assignment.  The path is chosen once,
-    by the number of live blocks left:
-
-    * at most ``_CUT_CAP``: the flow value is the minimum cut over block
-      subsets B (max-flow min-cut).  The elements whose every admissible
-      block lies in B must fit within B's total capacity, and the flow equals
-      |X| minus the worst deficiency.  The table keeps the cuts in the order
-      the block subsets are met, unsorted; it also fills the walk's
-      extension hook.
-    * more: augmenting paths from an empty assignment on every query, each
-      block keeping the list of the elements it holds.
-
-    Neither path keeps per-handle state that grows with queries.
-    """
-
-    __slots__ = ("caps", "adj", "_cuts")
-
-    def __init__(self, n: int, block_bits: Sequence[int], caps: Sequence[int]):
-        live = [(bb, k) for bb, k in zip(block_bits, caps) if k > 0]
-        self.caps = tuple(k for _, k in live)
-        self.adj: Optional[tuple[tuple[int, ...], ...]] = None
-        self._cuts: Optional[tuple[tuple[int, int], ...]] = None
-        if len(live) <= _CUT_CAP:
-            # Union and total capacity of each subset of the live blocks.
-            unions = [0]
-            capsums = [0]
-            for bb, k in live:
-                unions += [u | bb for u in unions]
-                capsums += [c + k for c in capsums]
-            # Drop never-deficient cuts; of equal cuts, keep the least capacity.
-            full = (1 << n) - 1
-            least: dict[int, int] = {}
-            for outside, capsum in zip(reversed(unions), capsums):
-                only = full & ~outside
-                if only.bit_count() > capsum and least.get(only, capsum) >= capsum:
-                    least[only] = capsum
-            self._cuts = tuple(least.items())
-        else:
-            self.adj = tuple(
-                tuple(i for i, (bb, _) in enumerate(live) if bb >> e & 1)
-                for e in range(n)
-            )
-
-    def _unplaced(self, bits: int, first_only: bool) -> int:
-        """How many elements of ``bits`` find no augmenting path when placed
-        in ascending order; with ``first_only`` it stops at the first."""
-        caps = self.caps
-        adj = self.adj
-        held: list[list[int]] = [[] for _ in caps]
-
-        def place(u: int, seen: set[int]) -> bool:
-            for i in adj[u]:
-                if i in seen:
-                    continue
-                seen.add(i)
-                holders = held[i]
-                if len(holders) < caps[i]:
-                    holders.append(u)
+    def place(u: int, seen: set[int]) -> bool:
+        for i in adj[u]:
+            if i in seen:
+                continue
+            seen.add(i)
+            holders = held[i]
+            if len(holders) < caps[i]:
+                holders.append(u)
+                return True
+            # Block i is in ``seen``, so the recursion never touches
+            # ``holders`` while it is being scanned.
+            for j, y in enumerate(holders):
+                if place(y, seen):
+                    holders[j] = u
                     return True
-                # Block i is in ``seen``, so the recursion never touches
-                # ``holders`` while it is being scanned.
-                for j, y in enumerate(holders):
-                    if place(y, seen):
-                        holders[j] = u
-                        return True
-            return False
+        return False
 
-        missed = 0
-        rest = bits
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if not place(low.bit_length() - 1, set()):
-                missed += 1
-                if first_only:
-                    break
-        return missed
-
-    def matching_size(self, bits: int) -> int:
-        cuts = self._cuts
-        if cuts is not None:
-            deficiency = 0
-            for only, capsum in cuts:
-                d = (bits & only).bit_count() - capsum
-                if d > deficiency:
-                    deficiency = d
-            return bits.bit_count() - deficiency
-        return bits.bit_count() - self._unplaced(bits, False)
-
-    def saturates(self, bits: int) -> bool:
-        cuts = self._cuts
-        if cuts is not None:
-            for only, capsum in cuts:
-                if (bits & only).bit_count() > capsum:
-                    return False
-            return True
-        return not self._unplaced(bits, True)
+    missed = 0
+    rest = bits
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if not place(low.bit_length() - 1, set()):
+            missed += 1
+            if first_only:
+                break
+    return missed
 
 
 def _cut_hook(cuts: Sequence[tuple[int, int]], n: int) -> Callable[[int, int], int]:
@@ -277,15 +208,79 @@ def _cut_hook(cuts: Sequence[tuple[int, int]], n: int) -> Callable[[int, int], i
     return extend
 
 
+def _cut_matroid(ground: GroundSet, cuts: Sequence[tuple[int, int]],
+                 rank: Callable[[int], int], provenance: str) -> Matroid:
+    """The handle whose independent sets meet every (elements, capacity)
+    cut within capacity; the cuts also fill the walk's extension hook."""
+
+    def indep(bits: int) -> bool:
+        for only, capsum in cuts:
+            if (bits & only).bit_count() > capsum:
+                return False
+        return True
+
+    m = Matroid(ground, indep, rank_hint=rank, provenance=provenance)
+    m._extend = partial(_cut_hook, cuts, ground.n)
+    return m
+
+
 def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
                       caps: Sequence[int], provenance: str) -> Matroid:
-    """A handle on a matcher; the cut path fills the extension hook."""
-    engine = _MatchingOracle(ground.n, block_bits, caps)
-    m = Matroid(ground, engine.saturates, rank_hint=engine.matching_size,
-                provenance=provenance)
-    if engine._cuts is not None:
-        m._extend = partial(_cut_hook, engine._cuts, ground.n)
-    return m
+    """A handle on the maximum bipartite flow between elements and
+    capacitated blocks: block i accepts up to caps[i] of its own elements,
+    a set is independent iff a full assignment exists, and its rank is the
+    flow value.
+
+    Zero-capacity blocks are dropped first: such a block takes no element,
+    so it can never improve a cut or an assignment.  The path is chosen once,
+    by the number of live blocks left:
+
+    * at most ``_CUT_CAP``: the flow value is the minimum cut over block
+      subsets B (max-flow min-cut).  The elements whose every admissible
+      block lies in B must fit within B's total capacity, and the flow equals
+      |X| minus the worst deficiency.  The table keeps the cuts in the order
+      the block subsets are met, unsorted.
+    * more: augmenting paths from an empty assignment on every query.
+
+    Neither path keeps per-handle state that grows with queries.
+    """
+    live = [(bb, k) for bb, k in zip(block_bits, caps) if k > 0]
+    if len(live) <= _CUT_CAP:
+        # Union and total capacity of each subset of the live blocks.
+        unions = [0]
+        capsums = [0]
+        for bb, k in live:
+            unions += [u | bb for u in unions]
+            capsums += [c + k for c in capsums]
+        # Drop never-deficient cuts; of equal cuts, keep the least capacity.
+        full = ground.full_mask
+        least: dict[int, int] = {}
+        for outside, capsum in zip(reversed(unions), capsums):
+            only = full & ~outside
+            if only.bit_count() > capsum and least.get(only, capsum) >= capsum:
+                least[only] = capsum
+        cuts = tuple(least.items())
+
+        def rank(bits: int) -> int:
+            deficiency = 0
+            for only, capsum in cuts:
+                d = (bits & only).bit_count() - capsum
+                if d > deficiency:
+                    deficiency = d
+            return bits.bit_count() - deficiency
+
+        return _cut_matroid(ground, cuts, rank, provenance)
+    caps = tuple(k for _, k in live)
+    adj = tuple(
+        tuple(i for i, (bb, _) in enumerate(live) if bb >> e & 1)
+        for e in range(ground.n)
+    )
+    return Matroid(
+        ground,
+        lambda bits: not _unplaced(caps, adj, bits, True),
+        rank_hint=lambda bits: bits.bit_count() - _unplaced(caps, adj, bits, False),
+        provenance=provenance,
+    )
 
 
 def k_rank_matroid(ground: GroundSet, block: SubsetMask, k: int) -> Matroid:
@@ -304,25 +299,15 @@ def k_rank_matroid(ground: GroundSet, block: SubsetMask, k: int) -> Matroid:
     return Matroid(ground, indep, rank_hint=rank, provenance="k-rank")
 
 
+def _partition_rank(pairs: Sequence[tuple[int, int]], bits: int) -> int:
+    return sum(min((bits & bb).bit_count(), k) for bb, k in pairs)
+
+
 def partition_matroid(p: PartitionWitness) -> Matroid:
     """Independent sets meet each partition block in at most its capacity."""
-    blocks = tuple(b.bits for b in p.blocks)
-    caps = p.capacities
-    pairs = tuple(zip(blocks, caps))
-
-    def indep(bits: int) -> bool:
-        for bb, k in pairs:
-            if (bits & bb).bit_count() > k:
-                return False
-        return True
-
-    def rank(bits: int) -> int:
-        return sum(min((bits & bb).bit_count(), k) for bb, k in pairs)
-
-    ground = p.covering.ground
-    m = Matroid(ground, indep, rank_hint=rank, provenance="partition")
-    m._extend = partial(_cut_hook, pairs, ground.n)
-    return m
+    pairs = tuple((b.bits, k) for b, k in zip(p.blocks, p.capacities))
+    return _cut_matroid(p.covering.ground, pairs,
+                        partial(_partition_rank, pairs), "partition")
 
 
 def union_matroids(ms: Sequence[Matroid]) -> Matroid:
@@ -456,12 +441,9 @@ def partition_circuit_matroid(p: PartitionWitness) -> Matroid:
     """The matroid whose circuits are exactly the partition blocks:
     independent sets meet each block P in at most |P| - 1 elements.
     Stated capacities on the witness are ignored."""
-    sized = PartitionWitness(
-        p.covering.with_capacities([b.cardinality - 1 for b in p.blocks])
-    )
-    m = partition_matroid(sized)
-    m.provenance = "partition-circuit"
-    return m
+    pairs = tuple((b.bits, b.cardinality - 1) for b in p.blocks)
+    return _cut_matroid(p.covering.ground, pairs,
+                        partial(_partition_rank, pairs), "partition-circuit")
 
 
 def partition_dual_params(p: PartitionWitness) -> tuple[int, ...]:

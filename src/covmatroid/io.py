@@ -83,10 +83,14 @@ def parse_document(text: str) -> InputDocument:
         key = key.strip()
         value = value.strip()
         if key == "format":
+            if fmt is not None:
+                raise ParseError("duplicate format line", lineno)
             if value != "1":
                 raise ParseError(f"unsupported format version {value!r}", lineno)
             fmt = value
         elif key == "kind":
+            if kind is not None:
+                raise ParseError("duplicate kind line", lineno)
             if value not in KINDS:
                 raise ParseError(
                     f"kind must be one of {', '.join(KINDS)}; got {value!r}", lineno

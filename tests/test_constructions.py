@@ -1,4 +1,5 @@
 import random
+import time
 from collections import deque
 
 import pytest
@@ -456,9 +457,8 @@ class TestMatchingPaths:
         rng = random.Random(43 + cut_cap)
         for build, source, blocks, caps in self.instances():
             n = source.ground.n
-            engine = constructions._MatchingOracle(n, blocks, caps)
-            assert (engine._cuts is None) == (cut_cap == 0)
             m = build(source)
+            assert (m._extend is None) == (cut_cap == 0)
             for _ in range(25):
                 bits = random_query(rng, n)
                 flow = edmonds_karp(bits, blocks, caps)
@@ -495,6 +495,15 @@ class TestPastSixtyFourElements:
             aug = covering_matroid(cov)
             assert cut._extend is not None and aug._extend is None
             yield cov.ground, cut, aug
+
+    def test_two_blocks_of_128_elements_are_drawn_within_a_second(self):
+        # Two random blocks cover 128 elements with probability near 10^-16.
+        rng = random.Random(79)
+        start = time.perf_counter()
+        for m in (1, 2):
+            cov = random_covering(rng, 128, m, kmax=4, kmin=0)
+            assert cov.m == m and cov.ground.n == 128
+        assert time.perf_counter() - start < 1.0
 
     @staticmethod
     def query(rng, n, r):

@@ -168,6 +168,22 @@ def test_a_label_with_an_equals_sign_is_a_parse_error(universe, block, label):
     assert _convert(text) == (1, "")
 
 
+@pytest.mark.parametrize("header, second, key", [
+    # The last kind would win: classify would run on a partition, exit 0.
+    ("kind: covering", "kind: partition", "kind"),
+    ("format: 1", "format: 1", "format"),
+])
+def test_a_second_header_line_is_a_parse_error(header, second, key):
+    lines = ["format: 1", "kind: covering", "universe: a b",
+             "block: a k=1", "block: b k=1"]
+    lines.insert(lines.index(header) + 2, second)
+    with pytest.raises(ParseError) as info:
+        parse_document("\n".join(lines))
+    assert str(info.value) == f"line {info.value.line}: duplicate {key} line"
+    assert lines[info.value.line - 1] == second
+    assert _convert("\n".join(lines)) == (1, "")
+
+
 def test_a_block_name_ending_in_k_is_not_a_capacity():
     # Labels hold no "=", so ``Blk=`` is a name even though it ends in ``k=``.
     text = ("format: 1\nkind: covering\nuniverse: a b c\n"
