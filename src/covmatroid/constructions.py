@@ -190,17 +190,30 @@ def _cut_hook(cuts: Sequence[tuple[int, int]], n: int) -> Callable[[int, int], i
     independent, so no cut full on I - max I holds one, and a cut without
     max I is as full on I as on I - max I.  So the hook reads slot
     ``bits.bit_length()`` of an index built here, once per walk: slot 0
-    holds every cut (for I = ∅), slot e + 1 the cuts holding e."""
-    by_top = [list(cuts)] + [[] for _ in range(n)]
-    for cut in cuts:
-        rest = cut[0]
+    holds every cut (for I = ∅), slot e + 1 the cuts holding e that can be
+    full on a set with maximum e and meet its candidates.  Those are the
+    cuts that also hold an element above e (the candidates lie above max I)
+    and hold at least ``capsum`` elements up to e (I has no others).  Each
+    slot lists its cuts in ascending capacity, in table order among equal
+    capacities, and the hook stops at the first capacity above |I|: no
+    larger cut can be full on I."""
+    by_top = [sorted(cuts, key=lambda cut: cut[1])] + [[] for _ in range(n)]
+    for cut in by_top[0]:
+        only, capsum = cut
+        held = 0
+        rest = only
         while rest:
             low = rest & -rest
             rest ^= low
-            by_top[low.bit_length()].append(cut)
+            held += 1
+            if rest and held >= capsum:
+                by_top[low.bit_length()].append(cut)
 
     def extend(bits: int, cand: int) -> int:
+        k = bits.bit_count()
         for only, capsum in by_top[bits.bit_length()]:
+            if capsum > k:
+                break
             if only & cand and (bits & only).bit_count() == capsum:
                 cand &= ~only
         return cand

@@ -9,9 +9,10 @@ A document looks like::
     block: K2 = b c k=1
 
 ``kind`` is one of ``covering``, ``partition`` or ``indexed_family``.
-Block names (``NAME =``) and capacities (``k=N``, default 1) are optional;
-an element label may not contain ``=``.  Blank lines and ``#`` comments are
-ignored.
+``member:`` is another spelling of ``block:`` in every kind.  Block names
+(``NAME =``) and capacities (``k=N``, default 1, at most one per line) are
+optional; an element label may not contain ``=``.  Blank lines and ``#``
+comments are ignored.
 """
 
 from __future__ import annotations
@@ -116,10 +117,12 @@ def parse_document(text: str) -> InputDocument:
             if eq >= 0 and value[:eq + 1].replace(",", " ").split()[-1] != "k=":
                 value = value[eq + 1:]
             tokens = value.replace(",", " ").split()
-            k = 1
+            k: Optional[int] = None
             elems = []
             for tok in tokens:
                 if tok.startswith("k="):
+                    if k is not None:
+                        raise ParseError("duplicate capacity", lineno)
                     try:
                         k = int(tok[2:])
                     except ValueError:
@@ -128,7 +131,7 @@ def parse_document(text: str) -> InputDocument:
                         raise ParseError("capacity must be nonnegative", lineno)
                 else:
                     elems.append(tok)
-            raw_blocks.append((lineno, elems, k))
+            raw_blocks.append((lineno, elems, 1 if k is None else k))
         else:
             raise ParseError(f"unknown key {key!r}", lineno)
 

@@ -615,3 +615,68 @@ class TestExtensionHook:
             extend = m._extend()
             for bits, cand in self.queries(rng, m):
                 assert shuffled(bits, cand) == extend(bits, cand), (m, bits)
+
+
+class TestWalkThroughTheHook:
+    """The level walk through a cut-table handle's hook lists the same
+    independent sets, circuits and bases, in the same order, as the walk of
+    a twin handle with no hook, which asks its oracle once per candidate.
+    The shapes are the enumerate bench's (n 10-13, 4-6 or 8-10 blocks of
+    density 0.3), with zero-capacity blocks and loops, and with tables that
+    repeat a capacity."""
+
+    @staticmethod
+    def sparse_covering(rng, n, m):
+        """m distinct blocks holding each element with probability 0.3 and
+        capacity 0, 1 or 2; elements no block holds form one more block of
+        capacity 0, so they are loops."""
+        g = GroundSet(f"x{i}" for i in range(n))
+        blocks = set()
+        while len(blocks) < m:
+            blocks.add(sum(1 << e for e in range(n) if rng.random() < 0.3)
+                       or 1 << rng.randrange(n))
+        blocks = sorted(blocks)
+        caps = [rng.choice((0, 1, 1, 2, 2)) for _ in blocks]
+        missing = g.full_mask
+        for b in blocks:
+            missing &= ~b
+        if missing:
+            blocks.append(missing)
+            caps.append(0)
+        return CapacitatedCovering(g, tuple(g.mask(b) for b in blocks),
+                                   tuple(caps))
+
+    @classmethod
+    def builds(cls, rng):
+        """(build, source) pairs: ``build(source)`` makes a fresh handle.
+        Each partition has a one-element block, a capacity-0 cut of its
+        partition-circuit matroid."""
+        for n, lo, hi in ((10, 4, 6), (11, 8, 10), (12, 8, 10), (13, 8, 10)) * 3:
+            cov = cls.sparse_covering(rng, n, rng.randint(lo, hi))
+            yield covering_matroid, cov
+            g = cov.ground
+            members = [g.mask(b.bits) for b in cov.blocks[:hi - 3]]
+            yield transversal_matroid, IndexedFamily(g, tuple(members * 2)[:hi])
+            parts = [[g.labels[0]], [], [], []]
+            for label in g.labels[1:]:
+                rng.choice(parts[1:]).append(label)
+            parts = [p for p in parts if p]
+            p = PartitionWitness.from_labels(
+                g, parts, [rng.randint(0, len(p)) for p in parts])
+            yield partition_matroid, p
+            yield partition_circuit_matroid, p
+
+    def test_walks_agree_member_for_member(self):
+        zero_cut = repeated_capacity = False
+        for build, source in self.builds(random.Random(67)):
+            m, twin = build(source), build(source)
+            assert m._extend is not None
+            twin._extend = None
+            cuts = m._extend.args[0]
+            capacities = [capsum for _, capsum in cuts]
+            zero_cut |= 0 in capacities
+            repeated_capacity |= len(set(capacities)) < len(capacities)
+            for walk in ("independent_family", "circuits", "bases"):
+                assert ([s.bits for s in getattr(m, walk)()]
+                        == [s.bits for s in getattr(twin, walk)()]), (m, walk)
+        assert zero_cut and repeated_capacity

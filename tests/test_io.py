@@ -184,6 +184,31 @@ def test_a_second_header_line_is_a_parse_error(header, second, key):
     assert _convert("\n".join(lines)) == (1, "")
 
 
+@pytest.mark.parametrize("key, block", [
+    # The last capacity would win: the block would take 2 elements, not 1.
+    ("block", "a b k=1 k=2"),
+    ("member", "K1 = k=2 a b k=2"),
+])
+def test_a_second_capacity_on_a_block_line_is_a_parse_error(key, block):
+    text = f"format: 1\nkind: covering\nuniverse: a b\n{key}: {block}\n"
+    with pytest.raises(ParseError) as info:
+        parse_document(text)
+    assert str(info.value) == "line 4: duplicate capacity"
+    assert _convert(text) == (1, "")
+
+
+@pytest.mark.parametrize("kind, blocks", [
+    ("covering", ["K1 = a b k=2", "b, c k=0", "c"]),
+    ("partition", ["a b k=0", "P2 = c k=3"]),
+    ("indexed_family", ["a b", "F2 = b c", "b c", "c k=1"]),
+])
+def test_member_lines_read_as_block_lines(kind, blocks):
+    def document(key):
+        return "\n".join(["format: 1", f"kind: {kind}", "universe: a b c"]
+                         + [f"{key}: {b}" for b in blocks]) + "\n"
+    assert parse_document(document("member")) == parse_document(document("block"))
+
+
 def test_a_block_name_ending_in_k_is_not_a_capacity():
     # Labels hold no "=", so ``Blk=`` is a name even though it ends in ``k=``.
     text = ("format: 1\nkind: covering\nuniverse: a b c\n"
