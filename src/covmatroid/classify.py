@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import GroundSet, SubsetMask, ValidationError
+from .core import GroundSet, SubsetMask, ValidationError, _canonical_sort_key
 from .constructions import (
     CapacitatedCovering,
     PartitionWitness,
@@ -68,7 +68,7 @@ def _verify_witness(m: Matroid, regen: Matroid) -> None:
     if diff:
         raise VerificationError(
             "witness does not regenerate the matroid",
-            SubsetMask(m.ground, min(diff, key=lambda b: (b.bit_count(), b))),
+            SubsetMask(m.ground, min(diff, key=_canonical_sort_key(m.ground.n))),
         )
 
 

@@ -20,6 +20,7 @@ from .core import (
     SubsetMask,
     ValidationError,
     format_set,
+    write_family,
 )
 from .classify import classify as run_classify
 from .constructions import (
@@ -85,8 +86,7 @@ def _document_family(doc: InputDocument) -> SetFamily:
 
 
 def _print_family(fam: SetFamily, out) -> None:
-    for member in fam:
-        print(format_set(member), file=out)
+    write_family(fam, out)
 
 
 def _verify_independents(doc: InputDocument, fam: SetFamily) -> frozenset[int]:

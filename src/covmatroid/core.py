@@ -168,6 +168,43 @@ def format_set(x: SubsetMask) -> str:
     return "{" + ",".join(x.labels()) + "}"
 
 
+#: Lines per write of :func:`write_family`, so printing a family near the
+#: enumeration cap never holds more than this many lines of text at once.
+_WRITE_BLOCK = 4096
+
+
+def write_family(fam: SetFamily, out) -> None:
+    """Write each member of ``fam`` as :func:`format_set` renders it, one a
+    line, in canonical order, at most ``_WRITE_BLOCK`` lines per write.
+
+    Reads the masks, never ``members``.  Labels ``8j..8j+7`` get one table
+    from a byte of the mask to its label tuple (the last table has
+    2^(n mod 8) entries), so a member takes at most ⌈n/8⌉ lookups.
+    """
+    labels = fam.ground.labels
+    tables = []
+    for lo in range(0, len(labels), 8):
+        table: list[tuple[str, ...]] = [()]
+        for lab in labels[lo:lo + 8]:
+            table += [t + (lab,) for t in table]
+        tables.append(table)
+    ordered = fam._ordered
+    for start in range(0, len(ordered), _WRITE_BLOCK):
+        lines = []
+        for bits in ordered[start:start + _WRITE_BLOCK]:
+            if not bits:
+                lines.append("∅\n")
+                continue
+            labs: tuple[str, ...] = ()
+            j = 0
+            while bits:
+                labs += tables[j][bits & 255]
+                bits >>= 8
+                j += 1
+            lines.append("{" + ",".join(labs) + "}\n")
+        out.write("".join(lines))
+
+
 class SetFamily:
     """A finite collection of distinct subsets of one ground set.
 

@@ -19,6 +19,7 @@ from .core import (
     SizeLimitError,
     SubsetMask,
     ValidationError,
+    _canonical_sort_key,
     check_enum_cap,
 )
 
@@ -296,14 +297,17 @@ class Matroid:
 def check_independence_axioms(family: SetFamily) -> AxiomCertificate:
     """Check I1, I2, I3 in order, reporting the first violated axiom with
     witnesses that are minimal in canonical order."""
-    check_enum_cap(family.ground.n)
+    ground = family.ground
+    check_enum_cap(ground.n)
     bitset = family.bitset()
     if 0 not in bitset:
         return AxiomCertificate(VIOLATES_I1)
-    # I2: every subset of a member is a member.  Subsets of each member are
-    # scanned in canonical order so the reported witness is deterministic.
-    for member in family.members:
-        bits = member.bits
+    # The scans read the family's masks in canonical order; only the
+    # reported witnesses become SubsetMask objects.
+    ordered = family._ordered
+    # I2: every subset of a member is a member.  The first member with a
+    # missing subset reports the missing subset first in canonical order.
+    for bits in ordered:
         sub = (bits - 1) & bits
         missing = []
         while sub:
@@ -311,29 +315,30 @@ def check_independence_axioms(family: SetFamily) -> AxiomCertificate:
                 missing.append(sub)
             sub = (sub - 1) & bits
         if missing:
-            worst = min(missing, key=lambda b: (b.bit_count(), SubsetMask(family.ground, b).indices()))
+            worst = min(missing, key=_canonical_sort_key(ground.n))
             return AxiomCertificate(
-                VIOLATES_I2, (member, SubsetMask(family.ground, worst))
+                VIOLATES_I2, (ground.mask(bits), ground.mask(worst))
             )
     # I3: exchange property, pairs scanned in canonical order.  Once I2
     # holds, a larger member that i1 cannot borrow from has a subset of size
     # |i1|+1 that is a member, fails too and comes earlier in canonical
     # order.  So only pairs whose sizes differ by one need checking, and the
     # first failing pair is the same as over all pairs.
-    members = family.members
-    by_size: list[list[SubsetMask]] = [[] for _ in range(family.ground.n + 2)]
-    for member in members:
-        by_size[member.cardinality].append(member)
-    for i1 in members:
-        for i2 in by_size[i1.cardinality + 1]:
-            rest = i2.bits & ~i1.bits
+    by_size: list[list[int]] = [[] for _ in range(ground.n + 2)]
+    for bits in ordered:
+        by_size[bits.bit_count()].append(bits)
+    for i1 in ordered:
+        for i2 in by_size[i1.bit_count() + 1]:
+            rest = i2 & ~i1
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if (i1.bits | low) in bitset:
+                if (i1 | low) in bitset:
                     break
             else:
-                return AxiomCertificate(VIOLATES_I3, (i1, i2))
+                return AxiomCertificate(
+                    VIOLATES_I3, (ground.mask(i1), ground.mask(i2))
+                )
     return AxiomCertificate(MATROID)
 
 

@@ -20,6 +20,8 @@ from covmatroid import (
     transversal_matroid,
 )
 
+from covmatroid.classify import VerificationError, _verify_witness
+
 from conftest import random_covering
 
 
@@ -78,6 +80,20 @@ class TestRecoverPartition:
         witness = recover_partition_from_2circuit(all_ones_partition(g, blocks))
         labels = sorted(tuple(b.labels()) for b in witness.blocks)
         assert labels == [("a", "c"), ("b",), ("d", "e")]
+
+
+class TestVerifyWitness:
+    def test_reports_the_first_differing_subset_in_canonical_order(self):
+        # The families differ first at size 2, on {a,d} and {b,c}.  {a,d}
+        # holds a, the least element of their symmetric difference, so it
+        # comes first in canonical order (and after {b,c} as an integer).
+        g = GroundSet("abcd")
+        blocks = [["a", "d"], ["b", "c"]]
+        m = partition_matroid(PartitionWitness.from_labels(g, blocks, [2, 1]))
+        regen = partition_matroid(PartitionWitness.from_labels(g, blocks, [1, 2]))
+        with pytest.raises(VerificationError) as caught:
+            _verify_witness(m, regen)
+        assert repr(caught.value.differing) == "{a,d}"
 
 
 class TestIsPartitionCircuit:

@@ -51,6 +51,23 @@ class TestCommands:
         assert code == 0
         assert text.splitlines() == ["{a,b}", "{a,c}", "{b,c}"]
 
+    @pytest.mark.parametrize("command, method", [
+        ("independents", "independent_family"), ("circuits", "circuits"),
+        ("bases", "bases"), ("dual", "bases")])
+    def test_families_print_from_their_masks(self, monkeypatch, command, method):
+        # The printed family stays unboxed: no SubsetMask per member.
+        families = []
+        honest = getattr(Matroid, method)
+
+        def recording(self):
+            families.append(honest(self))
+            return families[-1]
+
+        monkeypatch.setattr(Matroid, method, recording)
+        code, text = run(command, fx("greek10.txt"))
+        assert code == 0 and len(text.splitlines()) == len(families[-1])
+        assert all(fam._members is None for fam in families)
+
     def test_rank(self):
         code, text = run("rank", fx("example1.txt"), "--set", "a,b,c")
         assert code == 0

@@ -1,8 +1,10 @@
 import ast
+import io
 import pathlib
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import covmatroid
 from covmatroid import (
@@ -14,7 +16,7 @@ from covmatroid import (
     family_min,
     opp_predicate,
 )
-from covmatroid.core import check_enum_cap
+from covmatroid.core import _WRITE_BLOCK, check_enum_cap, format_set, write_family
 
 
 def fam(ground, *sets):
@@ -142,6 +144,57 @@ def test_family_order_is_the_canonical_key_sort(case):
     g = GroundSet(f"x{i}" for i in range(n))
     expected = sorted((g.mask(b) for b in members), key=lambda x: x.canonical_key())
     assert list(SetFamily(g, members).members) == expected
+
+
+def _random_family(n, size, seed, empty, label):
+    """``size`` distinct nonempty masks on n elements labelled
+    ``label + i`` (all of them if there are fewer), plus ∅ if ``empty``."""
+    ground = GroundSet(f"{label}{i}" for i in range(n))
+    rng = random.Random(seed)
+    masks = rng.sample(range(1, 1 << n), min(size, (1 << n) - 1))
+    return SetFamily(ground, masks + [0] * empty)
+
+
+class RecordingOut:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=22),
+       size=st.integers(min_value=0, max_value=2 * _WRITE_BLOCK + 1),
+       seed=st.integers(min_value=0, max_value=2**32),
+       empty=st.booleans(),
+       label=st.sampled_from(["x", "elem", "é_", "10"]))
+@example(n=13, size=2 * _WRITE_BLOCK + 1, seed=0, empty=True, label="elem")
+@example(n=22, size=_WRITE_BLOCK + 1, seed=1, empty=False, label="x")
+@example(n=17, size=40, seed=2, empty=True, label="é_")
+def test_write_family_prints_what_format_set_prints(n, size, seed, empty, label):
+    # n from 1 to 22 crosses the byte boundaries at 8 and 16 of the label
+    # tables, and the larger families span more than one write block.
+    fam = _random_family(n, size, seed, empty, label)
+    out = io.StringIO()
+    write_family(fam, out)
+    assert fam._members is None
+    assert out.getvalue() == "".join(format_set(m) + "\n" for m in fam)
+
+
+def test_write_family_writes_at_most_one_block_of_lines_at_once():
+    fam = _random_family(14, 2 * _WRITE_BLOCK + 7, 3, True, "e")
+    out = RecordingOut()
+    write_family(fam, out)
+    assert len(out.writes) == 3
+    assert all(text.count("\n") <= _WRITE_BLOCK for text in out.writes)
+    assert "".join(out.writes) == "".join(format_set(m) + "\n" for m in fam)
+
+
+def test_write_family_of_no_members_writes_nothing():
+    out = RecordingOut()
+    write_family(SetFamily(GroundSet("ab"), []), out)
+    assert out.writes == []
 
 
 @pytest.mark.parametrize("n", range(1, 11))

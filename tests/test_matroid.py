@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covmatroid import constructions
 from covmatroid import (
@@ -113,6 +114,49 @@ class TestAxiomCheck:
                 assert cert.verdict == "violates_I3"
                 assert cert.witnesses == expected
         assert violations > 20
+
+
+def _plain_axiom_scan(family):
+    """The verdict and witnesses by the definitions: the members, each
+    member's subsets and the member pairs, all in canonical order."""
+    ground = family.ground
+    if ground.empty() not in family:
+        return "violates_I1", ()
+    subsets = list(ground.subsets())
+    for i in family:
+        for sub in subsets:
+            if sub.issubset(i) and sub not in family:
+                return "violates_I2", (i, sub)
+    for i1 in family:
+        for i2 in family:
+            if len(i1) < len(i2) and not any(
+                    i1 | ground.mask(1 << e) in family
+                    for e in (i2 - i1).indices()):
+                return "violates_I3", (i1, i2)
+    return "matroid", ()
+
+
+def _down_closure(masks):
+    closed = {0}
+    for bits in masks:
+        sub = bits
+        while sub:
+            closed.add(sub)
+            sub = (sub - 1) & bits
+    return closed
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=6), data=st.data())
+def test_axiom_check_matches_a_plain_scan(n, data):
+    # Raw families mostly break I1 or I2; their down-closures satisfy both,
+    # so the verdict turns on I3.
+    masks = data.draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1)))
+    if data.draw(st.booleans()):
+        masks = _down_closure(masks)
+    family = SetFamily(GroundSet(f"x{i}" for i in range(n)), masks)
+    cert = check_independence_axioms(family)
+    assert (cert.verdict, cert.witnesses) == _plain_axiom_scan(family)
 
 
 class TestRank:
