@@ -85,10 +85,6 @@ def _document_family(doc: InputDocument) -> SetFamily:
     return transversal_matroid(doc.family()).independent_family()
 
 
-def _print_family(fam: SetFamily, out) -> None:
-    write_family(fam, out)
-
-
 def _verify_independents(doc: InputDocument, fam: SetFamily) -> frozenset[int]:
     """Check ``fam`` subset by subset against the brute-force oracle and
     return the subsets the oracle calls independent."""
@@ -152,7 +148,7 @@ def cmd_independents(doc: InputDocument, args, out) -> None:
     fam = _document_matroid(doc).independent_family()
     if args.verify:
         _verify_independents(doc, fam)
-    _print_family(fam, out)
+    write_family(fam, out)
     if args.verify:
         print(_verify_ok(doc), file=out)
 
@@ -164,7 +160,7 @@ def cmd_circuits(doc: InputDocument, args, out) -> None:
         indep = _verify_independents(doc, m.independent_family())
         if _bf_circuits(doc, indep) != circuits.bitset():
             raise VerifyMismatch("circuits mismatch against brute-force circuits")
-    _print_family(circuits, out)
+    write_family(circuits, out)
     if args.verify:
         print(_verify_ok(doc), file=out)
 
@@ -176,7 +172,7 @@ def cmd_bases(doc: InputDocument, args, out) -> None:
         indep = _verify_independents(doc, m.independent_family())
         if _bf_bases(doc, indep) != bases.bitset():
             raise VerifyMismatch("bases mismatch against brute-force bases")
-    _print_family(bases, out)
+    write_family(bases, out)
     if args.verify:
         print(_verify_ok(doc), file=out)
 
@@ -216,7 +212,7 @@ def cmd_dual(doc: InputDocument, args, out) -> None:
         bf = oracle.bf_dual_family(m).bitset()
         if _bf_bases(doc, bf) != bases.bitset():
             raise VerifyMismatch("dual bases mismatch against base-complement family")
-    _print_family(bases, out)
+    write_family(bases, out)
     if args.verify:
         print("verify: OK", file=out)
 

@@ -379,11 +379,16 @@ def covering_matroid(c: CapacitatedCovering) -> Matroid:
                              c.capacities, "covering")
 
 
+def _check_block_index(c: CapacitatedCovering, i: int) -> None:
+    """Reject an ``i`` that names no block of ``c``, a negative one too."""
+    if not 0 <= i < c.m:
+        raise IndexError(f"block index {i} out of range for {c.m} blocks")
+
+
 def covering_matroid_slice(c: CapacitatedCovering, i: int) -> Matroid:
     """Covering matroid with every capacity zeroed except the i-th; equal,
     as a family, to the k-rank matroid of block i."""
-    if not 0 <= i < c.m:
-        raise IndexError(f"block index {i} out of range for {c.m} blocks")
+    _check_block_index(c, i)
     caps = [0] * c.m
     caps[i] = c.capacities[i]
     return covering_matroid(c.with_capacities(caps))

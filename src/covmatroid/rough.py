@@ -9,11 +9,11 @@ they can be diffed: their agreement (or any counterexample) is surfaced by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .core import GroundSet, SetFamily, SubsetMask, ValidationError
 from .constructions import (
     CapacitatedCovering,
+    _check_block_index,
     covering_matroid_slice,
     k_rank_matroid,
 )
@@ -70,8 +70,13 @@ def upper_approx(space: ApproximationSpace, x: SubsetMask) -> SubsetMask:
 
 @dataclass(frozen=True)
 class MatroidalSpace:
-    """A covering with positive capacities plus the per-block k-rank
-    matroids used by the matroidal forms of the approximation operators.
+    """A covering with positive capacities plus one matroid per block, the
+    slices the matroidal forms of the approximation operators read.
+
+    The space picks its slices once, when it is built: the k-rank matroids
+    M(K_i, k_i), or with ``via_covering`` the covering matroid with every
+    capacity but the i-th set to 0, which the paper shows is the same
+    matroid.  The operators take no other slices.
 
     Capacities must all be at least 1: the matroidal representations are
     stated only for positive integers, and a zero capacity would silently
@@ -79,19 +84,19 @@ class MatroidalSpace:
     """
 
     covering: CapacitatedCovering
+    via_covering: bool = False
     slices: tuple[Matroid, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if any(k < 1 for k in self.covering.capacities):
+        c = self.covering
+        if any(k < 1 for k in c.capacities):
             raise ValidationError("matroidal operators require all capacities ≥ 1")
-        object.__setattr__(
-            self,
-            "slices",
-            tuple(
-                k_rank_matroid(self.covering.ground, b, k)
-                for b, k in zip(self.covering.blocks, self.covering.capacities)
-            ),
-        )
+        if self.via_covering:
+            slices = tuple(covering_matroid_slice(c, i) for i in range(c.m))
+        else:
+            slices = tuple(k_rank_matroid(c.ground, b, k)
+                           for b, k in zip(c.blocks, c.capacities))
+        object.__setattr__(self, "slices", slices)
 
     @property
     def ground(self) -> GroundSet:
@@ -101,11 +106,11 @@ class MatroidalSpace:
         return ApproximationSpace(self.ground, self.covering.block_family())
 
 
-def matroidal_block(ms: MatroidalSpace, i: int, slices: tuple[Matroid, ...] | None = None) -> SubsetMask:
+def matroidal_block(ms: MatroidalSpace, i: int) -> SubsetMask:
     """Block K_i recovered as the complement of the i-th slice's closure of
     the empty set (the slice's non-loops)."""
-    slc = (slices or ms.slices)[i]
-    return slc.closure(ms.ground.empty()).complement()
+    _check_block_index(ms.covering, i)
+    return ms.slices[i].closure(ms.ground.empty()).complement()
 
 
 def matroidal_membership(
@@ -113,6 +118,7 @@ def matroidal_membership(
 ) -> tuple[bool, bool, bool]:
     """The equivalent membership conditions for x against block i:
     (x ∈ K_i, {x} independent in slice i, slice-i rank of {x} is 1)."""
+    _check_block_index(ms.covering, i)
     bit = 1 << ms.ground.index(x)
     slc = ms.slices[i]
     return (
@@ -122,23 +128,18 @@ def matroidal_membership(
     )
 
 
-def matroidal_neighborhood(
-    ms: MatroidalSpace, x: str, slices: tuple[Matroid, ...] | None = None
-) -> SubsetMask:
+def matroidal_neighborhood(ms: MatroidalSpace, x: str) -> SubsetMask:
     """Neighborhood of x as an intersection of recovered blocks over the
     slices giving {x} rank 1."""
     bit = 1 << ms.ground.index(x)
     out = ms.ground.full_mask
-    slcs = slices or ms.slices
-    for i, slc in enumerate(slcs):
+    for i, slc in enumerate(ms.slices):
         if slc.rank_bits(bit) == 1:
-            out &= matroidal_block(ms, i, slcs).bits
+            out &= matroidal_block(ms, i).bits
     return SubsetMask(ms.ground, out)
 
 
-def matroidal_lower(
-    ms: MatroidalSpace, x: SubsetMask, slices: tuple[Matroid, ...] | None = None
-) -> SubsetMask:
+def matroidal_lower(ms: MatroidalSpace, x: SubsetMask) -> SubsetMask:
     """Matroidal form of the lower approximation: union of recovered blocks
     over slices whose rank of X equals their rank of K_i.
 
@@ -147,41 +148,35 @@ def matroidal_lower(
     lower approximation.
     """
     out = 0
-    slcs = slices or ms.slices
-    for i, slc in enumerate(slcs):
+    for i, slc in enumerate(ms.slices):
         if slc.rank_bits(x.bits) == slc.rank_bits(ms.covering.blocks[i].bits):
-            out |= matroidal_block(ms, i, slcs).bits
+            out |= matroidal_block(ms, i).bits
     return SubsetMask(ms.ground, out)
 
 
-def matroidal_upper(
-    ms: MatroidalSpace, x: SubsetMask, slices: tuple[Matroid, ...] | None = None
-) -> SubsetMask:
+def matroidal_upper(ms: MatroidalSpace, x: SubsetMask) -> SubsetMask:
     """Matroidal form of the upper approximation: union of recovered blocks
     over slices giving X positive rank."""
     out = 0
-    slcs = slices or ms.slices
-    for i, slc in enumerate(slcs):
+    for i, slc in enumerate(ms.slices):
         if slc.rank_bits(x.bits) > 0:
-            out |= matroidal_block(ms, i, slcs).bits
+            out |= matroidal_block(ms, i).bits
     return SubsetMask(ms.ground, out)
 
 
 @dataclass(frozen=True)
 class Finding:
-    """A concrete input on which a matroidal operator disagrees with its
-    direct counterpart."""
+    """A subset X on which a matroidal operator disagrees with its direct
+    counterpart."""
 
     operator: str
-    subset: Optional[SubsetMask]
-    element: Optional[str]
+    subset: SubsetMask
     direct: SubsetMask
     matroidal: SubsetMask
 
     def __str__(self) -> str:
-        where = f"X={self.subset}" if self.subset is not None else f"x={self.element}"
         return (
-            f"{self.operator} mismatch at {where}: "
+            f"{self.operator} mismatch at X={self.subset}: "
             f"direct={self.direct} matroidal={self.matroidal}"
         )
 
@@ -191,22 +186,22 @@ def approximation_findings(
 ) -> list[Finding]:
     """Diff the matroidal operators against the direct ones on X.
 
-    With ``via_covering`` the slices are re-derived from zeroed covering
-    matroids before comparing.  An empty list means full agreement.
+    The operators read the slices of ``ms``, except that with
+    ``via_covering`` a k-rank space is first rebuilt as
+    ``MatroidalSpace(ms.covering, via_covering=True)``, so its slices are
+    re-derived from zeroed covering matroids.  An empty list means full
+    agreement.
     """
+    if via_covering and not ms.via_covering:
+        ms = MatroidalSpace(ms.covering, via_covering=True)
     space = ms.space()
-    slices = (
-        tuple(covering_matroid_slice(ms.covering, i) for i in range(ms.covering.m))
-        if via_covering
-        else ms.slices
-    )
     findings = []
     sl = lower_approx(space, x)
-    msl = matroidal_lower(ms, x, slices)
+    msl = matroidal_lower(ms, x)
     if sl.bits != msl.bits:
-        findings.append(Finding("lower", x, None, sl, msl))
+        findings.append(Finding("lower", x, sl, msl))
     sh = upper_approx(space, x)
-    msh = matroidal_upper(ms, x, slices)
+    msh = matroidal_upper(ms, x)
     if sh.bits != msh.bits:
-        findings.append(Finding("upper", x, None, sh, msh))
+        findings.append(Finding("upper", x, sh, msh))
     return findings

@@ -162,23 +162,21 @@ def test_criterion_04_equivalence_suite():
             ms = MatroidalSpace(cov)
             space = ms.space()
             g = cov.ground
-            alt = tuple(
-                covering_matroid_slice(cov, i) for i in range(cov.m)
-            )
+            alt = MatroidalSpace(cov, via_covering=True)
             for i, block in enumerate(cov.blocks):
                 assert matroidal_block(ms, i).bits == block.bits
-                assert matroidal_block(ms, i, alt).bits == block.bits
+                assert matroidal_block(alt, i).bits == block.bits
             for x in g.labels:
                 assert matroidal_neighborhood(ms, x) == neighborhood(space, x)
-                assert matroidal_neighborhood(ms, x, alt) == neighborhood(space, x)
+                assert matroidal_neighborhood(alt, x) == neighborhood(space, x)
             for bits in range(1 << n):
                 x = g.mask(bits)
                 sh = upper_approx(space, x)
                 assert matroidal_upper(ms, x).bits == sh.bits
-                assert matroidal_upper(ms, x, alt).bits == sh.bits
+                assert matroidal_upper(alt, x).bits == sh.bits
                 sl = lower_approx(space, x)
                 msl = matroidal_lower(ms, x)
-                assert matroidal_lower(ms, x, alt).bits == msl.bits
+                assert matroidal_lower(alt, x).bits == msl.bits
                 if msl.bits != sl.bits:
                     findings = approximation_findings(ms, x)
                     assert len(findings) == 1 and findings[0].operator == "lower"

@@ -125,6 +125,26 @@ class TestCommands:
         assert lines[0].endswith("DISAGREE")
         assert any(line.startswith("finding: lower mismatch") for line in lines[1:])
 
+    def test_approx_matroidal_verify_disagree_prints_what_plain_prints(self):
+        # --verify rebuilds each slice as a zeroed covering matroid; the
+        # findings, and so the bytes, stay those of the k-rank slices.
+        argv = ("approx", fx("example1.txt"), "--set", "a", "--matroidal")
+        code, text = run(*argv, "--verify")
+        assert code == 4
+        assert (code, text) == run(*argv)
+        assert text == (
+            "N/A for sets; SL=∅ SH={a,b} DISAGREE\n"
+            "finding: lower mismatch at X={a}: direct=∅ matroidal={a,b}\n"
+        )
+
+    def test_approx_matroidal_verify_agree(self):
+        code, text = run(
+            "approx", fx("free_abc.txt"), "--set", "a,b", "--matroidal",
+            "--verify",
+        )
+        assert code == 0
+        assert text == "N/A for sets; SL=∅ SH={a,b,c} AGREE\n"
+
     def test_classify_pairs(self):
         code, text = run("classify", fx("pairs.txt"))
         assert code == 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from covmatroid import rough
 from covmatroid import (
     ApproximationSpace,
     CapacitatedCovering,
@@ -126,8 +127,21 @@ class TestMatroidalBlock:
             for i in range(cov.m):
                 assert matroidal_block(ms, i) == cov.blocks[i]
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_rejects_a_block_index_outside_the_covering(self, paper_matroidal, i):
+        # A negative index must not answer for block m + i.
+        with pytest.raises(IndexError,
+                           match=f"^block index {i} out of range for 2 blocks$"):
+            matroidal_block(paper_matroidal, i)
+
 
 class TestMatroidalMembership:
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_rejects_a_block_index_outside_the_covering(self, paper_matroidal, i):
+        with pytest.raises(IndexError,
+                           match=f"^block index {i} out of range for 2 blocks$"):
+            matroidal_membership(paper_matroidal, "a", i)
+
     def test_member(self, paper_matroidal):
         assert matroidal_membership(paper_matroidal, "b", 0) == (True, True, True)
 
@@ -216,18 +230,47 @@ class TestSliceViaCoveringMatroid:
         for _ in range(10):
             cov = random_covering(rng, rng.randint(2, 6), rng.randint(1, 3))
             ms = MatroidalSpace(cov)
-            replaced = tuple(
-                covering_matroid_slice(cov, i) for i in range(cov.m)
-            )
+            replaced = MatroidalSpace(cov, via_covering=True)
             space = ms.space()
             for i in range(cov.m):
-                assert matroidal_block(ms, i, replaced) == cov.blocks[i]
+                assert matroidal_block(replaced, i) == cov.blocks[i]
             for x in cov.ground.labels:
-                assert (matroidal_neighborhood(ms, x, replaced)
+                assert (matroidal_neighborhood(replaced, x)
                         == neighborhood(space, x))
             for bits in range(1 << cov.ground.n):
                 x = cov.ground.mask(bits)
-                assert (matroidal_upper(ms, x, replaced)
+                assert (matroidal_upper(replaced, x)
                         == upper_approx(space, x))
-                assert (matroidal_lower(ms, x, replaced)
+                assert (matroidal_lower(replaced, x)
                         == matroidal_lower(ms, x))
+
+    def test_findings_via_covering_build_one_slice_per_block(
+            self, monkeypatch, paper_matroidal, abc):
+        built = []
+        honest = rough.covering_matroid_slice
+
+        def counting(c, i):
+            built.append(i)
+            return honest(c, i)
+
+        monkeypatch.setattr(rough, "covering_matroid_slice", counting)
+        approximation_findings(paper_matroidal, abc.subset("a"), True)
+        assert built == [0, 1]
+        # A space built on covering slices already is not rebuilt.
+        alt = MatroidalSpace(paper_matroidal.covering, via_covering=True)
+        built.clear()
+        approximation_findings(alt, abc.subset("a"), True)
+        assert built == []
+
+    def test_findings_via_covering_equal_the_k_rank_findings(self):
+        rng = random.Random(67)
+        compared = 0
+        for _ in range(12):
+            cov = random_covering(rng, rng.randint(2, 7), rng.randint(1, 3))
+            ms = MatroidalSpace(cov)
+            for bits in range(1 << cov.ground.n):
+                x = cov.ground.mask(bits)
+                found = approximation_findings(ms, x)
+                assert approximation_findings(ms, x, via_covering=True) == found
+                compared += len(found)
+        assert compared > 0
