@@ -2,13 +2,16 @@
 
 These are deliberately naive transcriptions of the defining conditions,
 sharing no code with the efficient paths; tests and the CLI's --verify mode
-hold the fast algorithms to them on small instances.
+hold the fast algorithms to them on small instances.  Covering and
+transversal matroids are both unions of k-rank matroids, so one builder,
+:func:`bf_union_family`, lists either's independent sets block by block.
 """
 
 from __future__ import annotations
 
+from functools import cache, partial
 from itertools import permutations
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import SetFamily, SizeLimitError, SubsetMask
 from .constructions import CapacitatedCovering, IndexedFamily
@@ -22,24 +25,45 @@ _BF_UNION_CAPS = (
 )
 _BF_RANK_ELEMS = 20
 _BF_MATCHING_ELEMS = 8
+_BF_MATCHING_CAP = f"brute-force matching is capped at |T| ≤ {_BF_MATCHING_ELEMS}"
 _BF_DUAL_CAP = 16
 
 
-def _assign_krank(bits, blocks, caps, counts, m):
-    """Backtracking over assignments of the lowest element of ``bits`` to a
-    block with spare capacity."""
-    if not bits:
-        return True
-    low = bits & -bits
-    rest = bits ^ low
-    for i in range(m):
-        if low & blocks[i] and counts[i] < caps[i]:
-            counts[i] += 1
-            if _assign_krank(rest, blocks, caps, counts, m):
-                counts[i] -= 1
-                return True
-            counts[i] -= 1
-    return False
+def bf_union_family(blocks: Sequence[int], caps: Sequence[int]) -> frozenset[int]:
+    """The masks I_1 ∪ … ∪ I_m with I_i ⊆ K_i and |I_i| ≤ k_i: the union of
+    the k-rank matroids M(K_i, k_i), built block by block from {∅}.  Block i
+    runs min(k_i, |K_i|) rounds, each adding at most one element of K_i to
+    every member; only the members a round first reached can grow anew in
+    the next.  A transversal matroid is this union with capacity-1 members.
+    """
+    fam = {0}
+    for block, k in zip(blocks, caps):
+        elems = [1 << i for i in range(block.bit_length()) if block >> i & 1]
+        fresh = fam
+        for _ in range(min(k, len(elems))):
+            fresh = {s | e for s in fresh for e in elems if not s & e} - fam
+            fam |= fresh
+    return frozenset(fam)
+
+
+def _check_union_caps(c: CapacitatedCovering) -> None:
+    if c.m > _BF_UNION_PARTS or c.ground.n > _BF_UNION_ELEMS:
+        raise SizeLimitError(_BF_UNION_CAPS)
+
+
+def bf_covering_family(c: CapacitatedCovering) -> frozenset[int]:
+    """The covering matroid's independent masks, as the union family of its
+    blocks; capped at m ≤ 4, n ≤ 12, so it holds at most 4,096 masks."""
+    _check_union_caps(c)
+    return bf_union_family([b.bits for b in c.blocks], c.capacities)
+
+
+def bf_transversal_family(f: IndexedFamily) -> frozenset[int]:
+    """The family's partial transversals, as the union family of its members
+    with capacity 1, duplicate and empty ones included; capped at n ≤ 8."""
+    if f.ground.n > _BF_MATCHING_ELEMS:
+        raise SizeLimitError(_BF_MATCHING_CAP)
+    return bf_union_family([s.bits for s in f.members], [1] * len(f.members))
 
 
 def bf_union_independent(
@@ -47,37 +71,12 @@ def bf_union_independent(
 ) -> Callable[[SubsetMask], bool]:
     """The union of the k-rank matroids M(K_i, k_i) of the covering's
     blocks, as a predicate: is X = I_1 ∪ … ∪ I_m with each I_i ⊆ K_i and
-    |I_i| ≤ k_i?
-
-    Blocks and capacities are read once, here; the predicate tries every
-    assignment of X's elements to blocks, element by element, placing each
-    only in a block that contains it and has capacity to spare.
+    |I_i| ≤ k_i?  The caps are checked here; :func:`bf_covering_family` is
+    built on the first call, and every call is a lookup in it.
     """
-    m = c.m
-    if m > _BF_UNION_PARTS:
-        raise SizeLimitError(_BF_UNION_CAPS)
-    blocks = [b.bits for b in c.blocks]
-    caps = list(c.capacities)
-    allowed = 0
-    total = 0
-    for bb, k in zip(blocks, caps):
-        if k:
-            allowed |= bb
-            total += k
-
-    def independent(x: SubsetMask) -> bool:
-        bits = x.bits
-        card = bits.bit_count()
-        if card > _BF_UNION_ELEMS:
-            raise SizeLimitError(_BF_UNION_CAPS)
-        # Two sound pre-rejects before searching: an element admissible to
-        # no block under its capacity can never be assigned, and more
-        # elements than total capacity cannot all be placed.
-        if bits & ~allowed or card > total:
-            return False
-        return _assign_krank(bits, blocks, caps, [0] * m, m)
-
-    return independent
+    _check_union_caps(c)
+    family = cache(partial(bf_covering_family, c))
+    return lambda x: x.bits in family()
 
 
 def bf_rank(m: Matroid, x: SubsetMask) -> int:
@@ -102,9 +101,7 @@ def bf_matching(f: IndexedFamily, t: SubsetMask) -> bool:
     """Is T matchable injectively into the family's index set?  Enumerates
     injections T → J directly."""
     if t.cardinality > _BF_MATCHING_ELEMS:
-        raise SizeLimitError(
-            f"brute-force matching is capped at |T| ≤ {_BF_MATCHING_ELEMS}"
-        )
+        raise SizeLimitError(_BF_MATCHING_CAP)
     elems = t.indices()
     if len(elems) > len(f.members):
         return False

@@ -76,7 +76,8 @@ class MatroidalSpace:
     The space picks its slices once, when it is built: the k-rank matroids
     M(K_i, k_i), or with ``via_covering`` the covering matroid with every
     capacity but the i-th set to 0, which the paper shows is the same
-    matroid.  The operators take no other slices.
+    matroid.  The operators take no other slices.  Each block is recovered
+    once, from its slice, when the space is built.
 
     Capacities must all be at least 1: the matroidal representations are
     stated only for positive integers, and a zero capacity would silently
@@ -86,6 +87,7 @@ class MatroidalSpace:
     covering: CapacitatedCovering
     via_covering: bool = False
     slices: tuple[Matroid, ...] = field(init=False, compare=False, repr=False)
+    recovered: tuple[SubsetMask, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         c = self.covering
@@ -97,6 +99,9 @@ class MatroidalSpace:
             slices = tuple(k_rank_matroid(c.ground, b, k)
                            for b, k in zip(c.blocks, c.capacities))
         object.__setattr__(self, "slices", slices)
+        empty = c.ground.empty()
+        object.__setattr__(self, "recovered",
+                           tuple(s.closure(empty).complement() for s in slices))
 
     @property
     def ground(self) -> GroundSet:
@@ -108,9 +113,9 @@ class MatroidalSpace:
 
 def matroidal_block(ms: MatroidalSpace, i: int) -> SubsetMask:
     """Block K_i recovered as the complement of the i-th slice's closure of
-    the empty set (the slice's non-loops)."""
+    the empty set (the slice's non-loops), as the space recovered it."""
     _check_block_index(ms.covering, i)
-    return ms.slices[i].closure(ms.ground.empty()).complement()
+    return ms.recovered[i]
 
 
 def matroidal_membership(
@@ -135,7 +140,7 @@ def matroidal_neighborhood(ms: MatroidalSpace, x: str) -> SubsetMask:
     out = ms.ground.full_mask
     for i, slc in enumerate(ms.slices):
         if slc.rank_bits(bit) == 1:
-            out &= matroidal_block(ms, i).bits
+            out &= ms.recovered[i].bits
     return SubsetMask(ms.ground, out)
 
 
@@ -150,7 +155,7 @@ def matroidal_lower(ms: MatroidalSpace, x: SubsetMask) -> SubsetMask:
     out = 0
     for i, slc in enumerate(ms.slices):
         if slc.rank_bits(x.bits) == slc.rank_bits(ms.covering.blocks[i].bits):
-            out |= matroidal_block(ms, i).bits
+            out |= ms.recovered[i].bits
     return SubsetMask(ms.ground, out)
 
 
@@ -160,7 +165,7 @@ def matroidal_upper(ms: MatroidalSpace, x: SubsetMask) -> SubsetMask:
     out = 0
     for i, slc in enumerate(ms.slices):
         if slc.rank_bits(x.bits) > 0:
-            out |= matroidal_block(ms, i).bits
+            out |= ms.recovered[i].bits
     return SubsetMask(ms.ground, out)
 
 

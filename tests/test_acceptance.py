@@ -48,7 +48,6 @@ from covmatroid import (
     partition_matroid,
     transversal_as_covering,
     transversal_matroid,
-    union_matroids,
     upper_approx,
 )
 from covmatroid.cli import main as cli_main

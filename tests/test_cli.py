@@ -256,6 +256,8 @@ class TestExitCodes:
         ("circuits", ["circuits", fx("family3.txt"), "--verify"]),
         ("bases", ["bases", fx("example1.txt"), "--verify"]),
         ("bases", ["bases", fx("family3.txt"), "--verify"]),
+        ("independent_family", ["independents", fx("example1.txt"), "--verify"]),
+        ("independent_family", ["independents", fx("family3.txt"), "--verify"]),
     ])
     def test_verify_checks_the_printed_list(self, monkeypatch, method, argv):
         honest = getattr(Matroid, method)
@@ -266,6 +268,26 @@ class TestExitCodes:
 
         monkeypatch.setattr(Matroid, method, drop_first)
         assert run(*argv) == (4, "")
+
+    @pytest.mark.parametrize("name, prefix", [
+        ("example1.txt", "independence mismatch at X="),
+        ("family3.txt", "transversal mismatch at T="),
+    ])
+    def test_verify_names_the_least_differing_subset(
+            self, monkeypatch, capsys, name, prefix):
+        # Plant the dependent universe and drop the independent {a,c} and
+        # {c}: {c} comes first in an ascending scan of the subsets.
+        honest = Matroid.independent_family
+
+        def planted(self):
+            fam = honest(self)
+            members = [s for s in fam.members if s.bits not in (0b100, 0b101)]
+            return SetFamily(fam.ground, members + [fam.ground.full()])
+
+        monkeypatch.setattr(Matroid, "independent_family", planted)
+        capsys.readouterr()
+        assert run("independents", fx(name), "--verify") == (4, "")
+        assert capsys.readouterr().err == f"error: {prefix}{{c}}\n"
 
 
 class TestDeterminism:

@@ -22,6 +22,7 @@ from covmatroid import (
     transversal_matroid,
     union_matroids,
 )
+from covmatroid.oracle import bf_union_family
 
 from conftest import random_covering
 
@@ -110,6 +111,22 @@ class TestMatchingOracle:
         m = transversal_matroid(f)
         for t in g.subsets():
             assert bf_matching(f, t) == m.indep_bits(t.bits)
+
+    def test_union_family_of_rank_one_members(self):
+        # Capacity-1 members give the partial transversals, with duplicate
+        # and empty members among them.
+        rng = random.Random(16)
+        for _ in range(200):
+            g = GroundSet("abcdef"[: rng.randint(1, 6)])
+            members = [
+                g.mask(rng.getrandbits(g.n) if rng.random() < 0.8 else 0)
+                for _ in range(rng.randint(1, 4))
+            ]
+            members += rng.sample(members, rng.randint(0, len(members)))
+            f = IndexedFamily(g, members)
+            want = {t.bits for t in g.subsets() if bf_matching(f, t)}
+            got = bf_union_family([s.bits for s in members], [1] * len(members))
+            assert got == want, members
 
     def test_size_cap(self):
         g = GroundSet("abcdefghi")

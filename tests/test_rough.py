@@ -7,6 +7,7 @@ from covmatroid import (
     ApproximationSpace,
     CapacitatedCovering,
     GroundSet,
+    Matroid,
     MatroidalSpace,
     SetFamily,
     ValidationError,
@@ -133,6 +134,24 @@ class TestMatroidalBlock:
         with pytest.raises(IndexError,
                            match=f"^block index {i} out of range for 2 blocks$"):
             matroidal_block(paper_matroidal, i)
+
+    def test_findings_on_a_built_space_take_no_closure(self, monkeypatch):
+        # The space recovers its blocks once; the operators only read them.
+        rng = random.Random(68)
+        spaces = [MatroidalSpace(random_covering(rng, 8, 4)) for _ in range(5)]
+        calls = []
+        honest = Matroid.closure
+
+        def counting(self, x):
+            calls.append(x)
+            return honest(self, x)
+
+        monkeypatch.setattr(Matroid, "closure", counting)
+        for ms in spaces:
+            for _ in range(4):
+                approximation_findings(ms, ms.ground.mask(
+                    rng.getrandbits(ms.ground.n)))
+        assert calls == []
 
 
 class TestMatroidalMembership:
