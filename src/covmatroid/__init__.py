@@ -14,10 +14,7 @@ from .core import (
     SizeLimitError,
     SubsetMask,
     ValidationError,
-    family_max,
-    family_min,
     format_set,
-    opp_predicate,
 )
 from .matroid import (
     AxiomCertificate,
@@ -79,10 +76,7 @@ __all__ = [
     "SizeLimitError",
     "SubsetMask",
     "ValidationError",
-    "family_max",
-    "family_min",
     "format_set",
-    "opp_predicate",
     "AxiomCertificate",
     "Matroid",
     "are_isomorphic",

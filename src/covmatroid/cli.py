@@ -104,32 +104,6 @@ def _verify_ok(doc: InputDocument) -> str:
     return f"verify: OK ({1 << doc.ground.n} subsets)"
 
 
-# The brute-force independent families are closed under subsets by
-# definition (a subset of a union of independent parts, of a matchable set
-# or of a base complement is one too).  So a set is a minimal non-member iff
-# dropping any one element gives a member, and a maximal member iff adding
-# any one element gives a non-member.
-
-
-def _bf_circuits(doc: InputDocument, indep: frozenset[int]) -> frozenset[int]:
-    n = doc.ground.n
-    return frozenset(
-        bits
-        for bits in range(1 << n)
-        if bits not in indep
-        and all(bits & ~(1 << i) in indep for i in range(n) if bits >> i & 1)
-    )
-
-
-def _bf_bases(doc: InputDocument, indep: frozenset[int]) -> frozenset[int]:
-    n = doc.ground.n
-    return frozenset(
-        bits
-        for bits in indep
-        if all(bits | (1 << i) not in indep for i in range(n) if not bits >> i & 1)
-    )
-
-
 def cmd_axioms(doc: InputDocument, args, out) -> None:
     cert = check_independence_axioms(_document_family(doc))
     print(str(cert), file=out)
@@ -153,7 +127,7 @@ def cmd_circuits(doc: InputDocument, args, out) -> None:
     circuits = m.circuits()
     if args.verify:
         indep = _verify_independents(doc, m.independent_family())
-        if _bf_circuits(doc, indep) != circuits.bitset():
+        if oracle.bf_circuits(indep, doc.ground.n) != circuits.bitset():
             raise VerifyMismatch("circuits mismatch against brute-force circuits")
     write_family(circuits, out)
     if args.verify:
@@ -165,7 +139,7 @@ def cmd_bases(doc: InputDocument, args, out) -> None:
     bases = m.bases()
     if args.verify:
         indep = _verify_independents(doc, m.independent_family())
-        if _bf_bases(doc, indep) != bases.bitset():
+        if oracle.bf_bases(indep, doc.ground.n) != bases.bitset():
             raise VerifyMismatch("bases mismatch against brute-force bases")
     write_family(bases, out)
     if args.verify:
@@ -205,7 +179,7 @@ def cmd_dual(doc: InputDocument, args, out) -> None:
     bases = m.dual().bases()
     if args.verify:
         bf = oracle.bf_dual_family(m).bitset()
-        if _bf_bases(doc, bf) != bases.bitset():
+        if oracle.bf_bases(bf, doc.ground.n) != bases.bitset():
             raise VerifyMismatch("dual bases mismatch against base-complement family")
     write_family(bases, out)
     if args.verify:

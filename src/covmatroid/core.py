@@ -288,36 +288,3 @@ class SetFamily:
 
     def __repr__(self) -> str:
         return "{" + ", ".join(format_set(m) for m in self.members) + "}"
-
-
-def family_min(a: SetFamily) -> SetFamily:
-    """The ⊆-minimal members of the family."""
-    mins = [
-        x
-        for x in a.members
-        if not any(y.bits != x.bits and y.bits & ~x.bits == 0 for y in a.members)
-    ]
-    return SetFamily(a.ground, mins)
-
-
-def family_max(a: SetFamily) -> SetFamily:
-    """The ⊆-maximal members of the family."""
-    maxs = [
-        x
-        for x in a.members
-        if not any(y.bits != x.bits and x.bits & ~y.bits == 0 for y in a.members)
-    ]
-    return SetFamily(a.ground, maxs)
-
-
-def opp_predicate(a: SetFamily) -> Callable[[SubsetMask], bool]:
-    """Membership predicate for the complement family {X ⊆ U : X ∉ A}.
-
-    The complement family is never materialized (it has 2^n - |A| members).
-    """
-    bitset = a.bitset()
-
-    def pred(x: SubsetMask) -> bool:
-        return x.bits not in bitset
-
-    return pred

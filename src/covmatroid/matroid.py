@@ -8,7 +8,6 @@ functions or by :func:`check_independence_axioms`-vetted families.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Optional
@@ -63,9 +62,8 @@ class Matroid:
     """A ground set plus an independence oracle over index bitmasks.
 
     ``indep_bits`` decides independence of an integer bitmask; ``rank_hint``
-    is an optional closed-form rank function, spot-checked against greedy
-    rank by :meth:`audit_rank_hint`.  ``provenance`` is a label for ``repr``
-    and tracing only.
+    is an optional closed-form rank function.  ``provenance`` is a label for
+    ``repr`` and tracing only.
 
     Precondition: the oracle is hereditary (I2: every subset of an
     independent set is independent).  The enumerations extend independent
@@ -273,22 +271,6 @@ class Matroid:
             return False
         bases = self.bases().bitset()
         return all(self.ground.full_mask & ~b in bases for b in bases)
-
-    # -- misc -------------------------------------------------------------
-
-    def audit_rank_hint(self) -> None:
-        """Spot-check the closed-form rank against greedy rank on 100 seeded
-        random subsets."""
-        if self.rank_hint is None:
-            return
-        rng = random.Random(0)
-        full = self.ground.full_mask
-        for _ in range(100):
-            bits = rng.randrange(full + 1)
-            if self.rank_hint(bits) != self.greedy_rank_bits(bits):
-                raise ValidationError(
-                    f"rank_hint disagrees with greedy rank on bitmask {bits:#x}"
-                )
 
     def __repr__(self) -> str:
         return f"Matroid(n={self.ground.n}, provenance={self.provenance!r})"

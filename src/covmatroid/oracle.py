@@ -4,28 +4,24 @@ These are deliberately naive transcriptions of the defining conditions,
 sharing no code with the efficient paths; tests and the CLI's --verify mode
 hold the fast algorithms to them on small instances.  Covering and
 transversal matroids are both unions of k-rank matroids, so one builder,
-:func:`bf_union_family`, lists either's independent sets block by block.
+:func:`bf_union_family`, lists either's independent sets block by block,
+under one cap, n ≤ 12 (at most 4,096 masks, whatever the number of
+blocks).  From such a family, :func:`bf_circuits` and :func:`bf_bases`
+read the circuits Min(Opp(I)) and the bases Max(I) by one-element moves.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
 from itertools import permutations
 from typing import Callable, Sequence
 
-from .core import SetFamily, SizeLimitError, SubsetMask
+from .core import GroundSet, SetFamily, SizeLimitError, SubsetMask
 from .constructions import CapacitatedCovering, IndexedFamily
 from .matroid import Matroid
 
 _BF_UNION_ELEMS = 12
-_BF_UNION_PARTS = 4
-_BF_UNION_CAPS = (
-    f"brute-force union is capped at |X| ≤ {_BF_UNION_ELEMS}, "
-    f"m ≤ {_BF_UNION_PARTS}"
-)
 _BF_RANK_ELEMS = 20
 _BF_MATCHING_ELEMS = 8
-_BF_MATCHING_CAP = f"brute-force matching is capped at |T| ≤ {_BF_MATCHING_ELEMS}"
 _BF_DUAL_CAP = 16
 
 
@@ -46,24 +42,24 @@ def bf_union_family(blocks: Sequence[int], caps: Sequence[int]) -> frozenset[int
     return frozenset(fam)
 
 
-def _check_union_caps(c: CapacitatedCovering) -> None:
-    if c.m > _BF_UNION_PARTS or c.ground.n > _BF_UNION_ELEMS:
-        raise SizeLimitError(_BF_UNION_CAPS)
+def _capped_union_family(ground: GroundSet, blocks: Sequence[int],
+                 caps: Sequence[int]) -> frozenset[int]:
+    """:func:`bf_union_family` on ``ground``, capped at n ≤ 12."""
+    if ground.n > _BF_UNION_ELEMS:
+        raise SizeLimitError(f"brute-force union is capped at n ≤ {_BF_UNION_ELEMS}")
+    return bf_union_family(blocks, caps)
 
 
 def bf_covering_family(c: CapacitatedCovering) -> frozenset[int]:
     """The covering matroid's independent masks, as the union family of its
-    blocks; capped at m ≤ 4, n ≤ 12, so it holds at most 4,096 masks."""
-    _check_union_caps(c)
-    return bf_union_family([b.bits for b in c.blocks], c.capacities)
+    blocks."""
+    return _capped_union_family(c.ground, [b.bits for b in c.blocks], c.capacities)
 
 
 def bf_transversal_family(f: IndexedFamily) -> frozenset[int]:
     """The family's partial transversals, as the union family of its members
-    with capacity 1, duplicate and empty ones included; capped at n ≤ 8."""
-    if f.ground.n > _BF_MATCHING_ELEMS:
-        raise SizeLimitError(_BF_MATCHING_CAP)
-    return bf_union_family([s.bits for s in f.members], [1] * len(f.members))
+    with capacity 1, duplicate and empty ones included."""
+    return _capped_union_family(f.ground, [s.bits for s in f.members], [1] * len(f.members))
 
 
 def bf_union_independent(
@@ -71,12 +67,37 @@ def bf_union_independent(
 ) -> Callable[[SubsetMask], bool]:
     """The union of the k-rank matroids M(K_i, k_i) of the covering's
     blocks, as a predicate: is X = I_1 ∪ … ∪ I_m with each I_i ⊆ K_i and
-    |I_i| ≤ k_i?  The caps are checked here; :func:`bf_covering_family` is
-    built on the first call, and every call is a lookup in it.
+    |I_i| ≤ k_i?  :func:`bf_covering_family` is built here, once, and every
+    call is a lookup in it.
     """
-    _check_union_caps(c)
-    family = cache(partial(bf_covering_family, c))
-    return lambda x: x.bits in family()
+    family = bf_covering_family(c)
+    return lambda x: x.bits in family
+
+
+def bf_circuits(indep: frozenset[int], n: int) -> frozenset[int]:
+    """Min(Opp(I)): the minimal masks over n elements outside ``indep``.
+
+    Precondition: ``indep`` is subset-closed, as every brute-force family is
+    by its definition (a union family, a base-complement family).  So a
+    non-member is minimal iff dropping any one element gives a member."""
+    return frozenset(
+        bits
+        for bits in range(1 << n)
+        if bits not in indep
+        and all(bits & ~(1 << i) in indep for i in range(n) if bits >> i & 1)
+    )
+
+
+def bf_bases(indep: frozenset[int], n: int) -> frozenset[int]:
+    """Max(I): the maximal members of ``indep``, masks over n elements.
+
+    Precondition: ``indep`` is subset-closed, as for :func:`bf_circuits`.
+    So a member is maximal iff adding any one element gives a non-member."""
+    return frozenset(
+        bits
+        for bits in indep
+        if all(bits | (1 << i) not in indep for i in range(n) if not bits >> i & 1)
+    )
 
 
 def bf_rank(m: Matroid, x: SubsetMask) -> int:
@@ -101,7 +122,8 @@ def bf_matching(f: IndexedFamily, t: SubsetMask) -> bool:
     """Is T matchable injectively into the family's index set?  Enumerates
     injections T → J directly."""
     if t.cardinality > _BF_MATCHING_ELEMS:
-        raise SizeLimitError(_BF_MATCHING_CAP)
+        raise SizeLimitError(
+            f"brute-force matching is capped at |T| ≤ {_BF_MATCHING_ELEMS}")
     elems = t.indices()
     if len(elems) > len(f.members):
         return False

@@ -15,8 +15,6 @@ import random
 import sys
 import time
 
-import pytest
-
 from covmatroid import (
     CapacitatedCovering,
     GroundSet,
@@ -24,7 +22,6 @@ from covmatroid import (
     MatroidalSpace,
     PartitionWitness,
     SubsetMask,
-    ApproximationSpace,
     approximation_findings,
     bf_dual_family,
     bf_union_independent,

@@ -236,13 +236,36 @@ class TestExitCodes:
         assert run("rank", str(path), "--set", "a") == (1, "")
 
     def test_verify_size_limit_prints_nothing(self, tmp_path):
-        # five blocks exceed the brute-force union oracle's m ≤ 4
+        # 13 elements exceed the brute-force union family's n ≤ 12, though
+        # not the enumeration cap
+        labels = [f"e{i:02d}" for i in range(13)]
+        path = tmp_path / "thirteen.txt"
+        path.write_text(
+            f"format: 1\nkind: covering\nuniverse: {' '.join(labels)}\n"
+            f"block: {' '.join(labels[:7])}\nblock: {' '.join(labels[6:])}\n"
+        )
+        assert run("independents", str(path))[0] == 0
+        assert run("independents", str(path), "--verify") == (2, "")
+
+    def test_verify_takes_any_number_of_blocks(self, tmp_path):
         path = tmp_path / "five_blocks.txt"
         path.write_text(
             "format: 1\nkind: covering\nuniverse: a b c d e f\n"
             + "".join(f"block: {p}\n" for p in ("a b", "b c", "c d", "d e", "e f"))
         )
-        assert run("independents", str(path), "--verify") == (2, "")
+        code, text = run("independents", str(path), "--verify")
+        assert code == 0
+        assert text == run("independents", str(path))[1] + "verify: OK (64 subsets)\n"
+
+    def test_verify_indexed_family_past_eight_elements(self, tmp_path):
+        path = tmp_path / "family10.txt"
+        path.write_text(
+            "format: 1\nkind: indexed_family\nuniverse: a b c d e f g h i j\n"
+            "block: a b c d\nblock: c d e f g\nblock: g h i j\nblock: a j\n"
+        )
+        code, text = run("independents", str(path), "--verify")
+        assert code == 0
+        assert text == run("independents", str(path))[1] + "verify: OK (1024 subsets)\n"
 
     def test_rank_verify_size_limit_prints_nothing(self):
         labels = ",".join(f"e{i:02d}" for i in range(21))

@@ -89,7 +89,9 @@ class TestKRankMatroid:
         assert m.independent_family() == fam(g, "", "b", "c", "d")
 
     def test_rank_hint_audit(self, abc):
-        k_rank_matroid(abc, abc.subset("ac"), 2).audit_rank_hint()
+        m = k_rank_matroid(abc, abc.subset("ac"), 2)
+        for b in range(1 << abc.n):
+            assert m.rank_hint(b) == m.greedy_rank_bits(b)
 
 
 class TestPartitionMatroid:
@@ -169,8 +171,9 @@ class TestCoveringMatroid:
     def test_rank_hint_is_matching_size(self):
         rng = random.Random(17)
         for _ in range(10):
-            cov = random_covering(rng, 5, 3)
-            covering_matroid(cov).audit_rank_hint()
+            m = covering_matroid(random_covering(rng, 5, 3))
+            for b in range(1 << m.ground.n):
+                assert m.rank_hint(b) == m.greedy_rank_bits(b)
 
     def test_partition_degeneration(self):
         g = GroundSet("abcde")

@@ -7,15 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import covmatroid
-from covmatroid import (
-    GroundSet,
-    SetFamily,
-    SizeLimitError,
-    ValidationError,
-    family_max,
-    family_min,
-    opp_predicate,
-)
+from covmatroid import GroundSet, SetFamily, SizeLimitError, ValidationError
 from covmatroid.core import _WRITE_BLOCK, check_enum_cap, format_set, write_family
 
 
@@ -79,61 +71,6 @@ class TestSetFamily:
         g1, g2 = GroundSet("ab"), GroundSet("cd")
         with pytest.raises(ValidationError):
             SetFamily(g1, [g2.subset("c")])
-
-
-class TestMinMax:
-    def test_empty_family(self):
-        g = GroundSet("abc")
-        empty = SetFamily(g, [])
-        assert len(family_min(empty)) == 0
-        assert len(family_max(empty)) == 0
-
-    def test_min_example(self):
-        g = GroundSet("abc")
-        f = fam(g, "a", "ab", "bc")
-        assert family_min(f) == fam(g, "a", "bc")
-
-    def test_max_example(self):
-        g = GroundSet("abc")
-        f = fam(g, "a", "ab", "bc")
-        assert family_max(f) == fam(g, "ab", "bc")
-
-    def test_antichain_fixed_point(self):
-        g = GroundSet("abc")
-        two_subsets = fam(g, "ab", "ac", "bc")
-        assert family_min(two_subsets) == two_subsets
-        assert family_max(two_subsets) == two_subsets
-
-
-@st.composite
-def families(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    g = GroundSet(f"x{i}" for i in range(n))
-    members = draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1),
-                           max_size=12))
-    return SetFamily(g, members)
-
-
-class TestFamilyProperties:
-    @given(families())
-    def test_min_max_are_antichain_subfamilies(self, f):
-        for reduced in (family_min(f), family_max(f)):
-            assert all(m in f for m in reduced)
-            for a in reduced:
-                for b in reduced:
-                    assert a == b or not a.issubset(b)
-
-    @given(families())
-    def test_min_max_idempotent_pair(self, f):
-        assert family_min(family_max(f)) == family_max(f)
-        assert family_max(family_min(f)) == family_min(f)
-
-    @given(families())
-    def test_opp_is_exact_complement(self, f):
-        pred = opp_predicate(f)
-        for bits in range(1 << f.ground.n):
-            x = f.ground.mask(bits)
-            assert pred(x) != (x in f)
 
 
 @given(st.integers(min_value=1, max_value=16).flatmap(
@@ -235,20 +172,6 @@ def test_canonical_family_equals_the_sorted_one(case):
     assert taken.union_mask() == built.union_mask()
 
 
-class TestOpp:
-    def test_full_powerset_gives_constant_false(self):
-        g = GroundSet("ab")
-        f = SetFamily(g, range(4))
-        pred = opp_predicate(f)
-        assert not any(pred(g.mask(b)) for b in range(4))
-
-    def test_singleton_universe(self):
-        g = GroundSet("a")
-        pred = opp_predicate(SetFamily(g, [0]))
-        assert not pred(g.empty())
-        assert pred(g.full())
-
-
 def test_enum_cap():
     check_enum_cap(22)
     with pytest.raises(SizeLimitError):
@@ -268,12 +191,14 @@ def test_no_module_state_is_rebound_from_a_function():
 
 
 def test_every_imported_name_is_used():
-    # A package module (not `__init__.py`, which re-exports) references
-    # every name it imports; `from __future__` binds no name.
-    sources = sorted(pathlib.Path(covmatroid.__file__).parent.glob("*.py"))
-    assert sources
+    # Every package module (not `__init__.py`, which re-exports) and every
+    # test module reads each name it imports; `from __future__` binds no
+    # name.
+    package = sorted(pathlib.Path(covmatroid.__file__).parent.glob("*.py"))
+    tests = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    assert package and tests
     unused = {}
-    for path in sources:
+    for path in package + tests:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -286,5 +211,5 @@ def test_every_imported_name_is_used():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         if imported - used:
-            unused[path.name] = sorted(imported - used)
+            unused[f"{path.parent.name}/{path.name}"] = sorted(imported - used)
     assert not unused

@@ -13,7 +13,6 @@ from covmatroid import (
     are_isomorphic,
     check_independence_axioms,
     classify,
-    family_max,
     is_2_circuit,
     is_double_circuit,
     is_partition_circuit,
@@ -486,7 +485,8 @@ class TestDual:
 
     def test_dual_rank_hint_consistent(self):
         m = example2_matroid().dual()
-        m.audit_rank_hint()
+        for b in range(1 << m.ground.n):
+            assert m.rank_hint(b) == m.greedy_rank_bits(b)
 
 
 class TestIsomorphism:

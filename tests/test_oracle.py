@@ -1,9 +1,12 @@
 """The brute-force oracles must agree with the efficient paths on small
 instances, and every oracle must enforce its size cap."""
 
+import functools
+import operator
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from covmatroid import (
     CapacitatedCovering,
@@ -22,7 +25,7 @@ from covmatroid import (
     transversal_matroid,
     union_matroids,
 )
-from covmatroid.oracle import bf_union_family
+from covmatroid.oracle import bf_bases, bf_circuits, bf_union_family
 
 from conftest import random_covering
 
@@ -52,6 +55,14 @@ class TestUnionOracle:
             bf = bf_union_independent(c)
             for x in c.ground.subsets():
                 assert u.indep_bits(x.bits) == bf(x), (c, x)
+
+    def test_five_blocks_within_the_ground_cap(self):
+        g = GroundSet("abcdef")
+        five = CapacitatedCovering(
+            g, tuple(g.mask(0b11 << i) for i in range(5)), (1,) * 5)
+        bf = bf_union_independent(five)
+        m = covering_matroid(five)
+        assert all(bf(x) == m.indep_bits(x.bits) for x in g.subsets())
 
     def test_size_caps(self):
         g = GroundSet("abcdefghijklmn")
@@ -155,3 +166,129 @@ class TestDualOracle:
         m = k_rank_matroid(g, g.subset(g.labels), 1)
         with pytest.raises(SizeLimitError):
             bf_dual_family(m)
+
+
+def down_closure(masks):
+    """Every subset of every mask: the smallest subset-closed family
+    holding them."""
+    out = set()
+    for top in masks:
+        sub = top
+        while True:
+            out.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & top
+    return frozenset(out)
+
+
+def masks(g, *sets):
+    return frozenset(g.subset(s).bits for s in sets)
+
+
+class TestMinMax:
+    def test_empty_family(self):
+        # Min(Opp(∅)) is {∅}; an empty family has no maximal member.
+        assert bf_circuits(frozenset(), 3) == {0}
+        assert bf_bases(frozenset(), 3) == frozenset()
+
+    def test_min_example(self):
+        g = GroundSet("abc")
+        indep = down_closure(masks(g, "ab", "c"))
+        assert bf_circuits(indep, g.n) == masks(g, "ac", "bc")
+
+    def test_max_example(self):
+        g = GroundSet("abc")
+        indep = down_closure(masks(g, "ab", "c"))
+        assert bf_bases(indep, g.n) == masks(g, "ab", "c")
+
+    def test_antichain_fixed_point(self):
+        # An antichain is the maximal members of its own down-closure.
+        g = GroundSet("abc")
+        two_subsets = masks(g, "ab", "ac", "bc")
+        assert bf_bases(down_closure(two_subsets), g.n) == two_subsets
+        assert bf_circuits(down_closure(two_subsets), g.n) == masks(g, "abc")
+
+
+@st.composite
+def closed_families(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    tops = draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1),
+                        max_size=12))
+    return down_closure(tops), n
+
+
+def _subset_of(a, b):
+    return a & ~b == 0
+
+
+class TestFamilyProperties:
+    @given(closed_families())
+    def test_min_max_are_antichain_subfamilies(self, case):
+        indep, n = case
+        circuits, bases = bf_circuits(indep, n), bf_bases(indep, n)
+        assert bases <= indep and not circuits & indep
+        for reduced in (circuits, bases):
+            for a in reduced:
+                for b in reduced:
+                    assert a == b or not _subset_of(a, b)
+
+    @given(closed_families())
+    def test_min_max_idempotent_pair(self, case):
+        # A subset-closed family is the down-closure of its maximal members.
+        indep, n = case
+        bases = bf_bases(indep, n)
+        assert down_closure(bases) == indep
+        assert bf_bases(down_closure(bases), n) == bases
+
+    @given(closed_families())
+    def test_opp_is_exact_complement(self, case):
+        # X lies outside the family iff it contains a minimal non-member.
+        indep, n = case
+        circuits = bf_circuits(indep, n)
+        for bits in range(1 << n):
+            assert (bits not in indep) == any(
+                _subset_of(c, bits) for c in circuits)
+
+
+class TestOpp:
+    def test_full_powerset_gives_constant_false(self):
+        # Nothing lies outside the powerset; its one maximal member is U.
+        assert bf_circuits(frozenset(range(4)), 2) == frozenset()
+        assert bf_bases(frozenset(range(4)), 2) == {0b11}
+
+    def test_singleton_universe(self):
+        assert bf_circuits(frozenset({0}), 1) == {1}
+        assert bf_bases(frozenset({0}), 1) == {0}
+
+
+@st.composite
+def brute_force_families(draw):
+    """A union family (n ≤ 6, capacities 0–3) or the dual family of a
+    covering matroid (n ≤ 6): the families ``--verify`` reads."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=6))
+    blocks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
+                           min_size=m, max_size=m))
+    caps = draw(st.lists(st.integers(min_value=0, max_value=3),
+                         min_size=m, max_size=m))
+    if not draw(st.booleans()):
+        return bf_union_family(blocks, caps), n
+    g = GroundSet(f"x{i}" for i in range(n))
+    blocks[0] |= g.full_mask & ~functools.reduce(operator.or_, blocks)
+    parts = dict(zip(blocks, caps))  # distinct blocks, one capacity each
+    c = CapacitatedCovering(g, tuple(map(g.mask, parts)), tuple(parts.values()))
+    return bf_dual_family(covering_matroid(c)).bitset(), n
+
+
+@given(brute_force_families())
+def test_circuits_and_bases_are_min_opp_and_max(case):
+    # The definitions, quadratic in the family: Min(Opp(I)) and Max(I).
+    indep, n = case
+    opp = [x for x in range(1 << n) if x not in indep]
+    minimal = {x for x in opp
+               if not any(y != x and _subset_of(y, x) for y in opp)}
+    maximal = {x for x in indep
+               if not any(y != x and _subset_of(x, y) for y in indep)}
+    assert bf_circuits(indep, n) == minimal
+    assert bf_bases(indep, n) == maximal
