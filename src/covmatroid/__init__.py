@@ -5,7 +5,14 @@ partition-circuit matroids, duality, classification predicates, and the
 second type of covering-based rough approximation operators in both direct
 and matroidal form — every construction checkable against brute-force
 oracles on small universes.
+
+The names of ``rough`` and ``oracle`` resolve on first use (PEP 562), so a
+caller that needs neither, such as most CLI commands, never loads them.
+``classify`` is loaded at once: importing the submodule ``covmatroid.classify``
+would otherwise leave the module, not the function, under that name.
 """
+
+import importlib
 
 from .core import (
     DEFAULT_ENUM_CAP,
@@ -38,26 +45,6 @@ from .constructions import (
     transversal_as_covering,
     transversal_matroid,
     union_matroids,
-)
-from .rough import (
-    ApproximationSpace,
-    Finding,
-    MatroidalSpace,
-    approximation_findings,
-    lower_approx,
-    matroidal_block,
-    matroidal_lower,
-    matroidal_membership,
-    matroidal_neighborhood,
-    matroidal_upper,
-    neighborhood,
-    upper_approx,
-)
-from .oracle import (
-    bf_dual_family,
-    bf_matching,
-    bf_rank,
-    bf_union_independent,
 )
 from .classify import (
     ClassificationReport,
@@ -122,3 +109,41 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# Each name exported from a module loaded on first use, with that module.
+_LAZY = {
+    **dict.fromkeys((
+        "ApproximationSpace",
+        "Finding",
+        "MatroidalSpace",
+        "approximation_findings",
+        "lower_approx",
+        "matroidal_block",
+        "matroidal_lower",
+        "matroidal_membership",
+        "matroidal_neighborhood",
+        "matroidal_upper",
+        "neighborhood",
+        "upper_approx",
+    ), "rough"),
+    **dict.fromkeys((
+        "bf_dual_family",
+        "bf_matching",
+        "bf_rank",
+        "bf_union_independent",
+    ), "oracle"),
+}
+
+
+def __getattr__(name: str):
+    try:
+        home = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module("." + home, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

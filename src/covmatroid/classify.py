@@ -4,10 +4,9 @@ witness partitions that regenerate the classified matroid."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import GroundSet, SubsetMask, ValidationError, _canonical_sort_key
+from .core import GroundSet, Record, SubsetMask, ValidationError, _canonical_sort_key
 from .constructions import (
     CapacitatedCovering,
     PartitionWitness,
@@ -25,8 +24,7 @@ class VerificationError(RuntimeError):
         self.differing = differing
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """Flags and witnesses for one matroid.
 
     Any attached witness, fed back through its construction, reproduces the
@@ -40,16 +38,33 @@ class ClassificationReport:
     is_double_circuit: bool
     is_identically_self_dual: bool
     circuit_size_multiset: tuple[int, ...]
-    two_circuit_witness: Optional[PartitionWitness] = None
-    partition_circuit_witness: Optional[PartitionWitness] = None
+    two_circuit_witness: Optional[PartitionWitness]
+    partition_circuit_witness: Optional[PartitionWitness]
+    _fields = ("is_2_circuit", "is_partition_circuit", "is_double_circuit",
+               "is_identically_self_dual", "circuit_size_multiset",
+               "two_circuit_witness", "partition_circuit_witness")
 
-    def __post_init__(self) -> None:
-        if self.is_double_circuit and not (
-            self.is_2_circuit and self.is_identically_self_dual
-        ):
+    def __init__(
+        self,
+        is_2_circuit: bool,
+        is_partition_circuit: bool,
+        is_double_circuit: bool,
+        is_identically_self_dual: bool,
+        circuit_size_multiset: tuple[int, ...],
+        two_circuit_witness: Optional[PartitionWitness] = None,
+        partition_circuit_witness: Optional[PartitionWitness] = None,
+    ):
+        if is_double_circuit and not (is_2_circuit and is_identically_self_dual):
             raise VerificationError(
                 "double-circuit matroid must be 2-circuit and identically self-dual"
             )
+        object.__setattr__(self, "is_2_circuit", is_2_circuit)
+        object.__setattr__(self, "is_partition_circuit", is_partition_circuit)
+        object.__setattr__(self, "is_double_circuit", is_double_circuit)
+        object.__setattr__(self, "is_identically_self_dual", is_identically_self_dual)
+        object.__setattr__(self, "circuit_size_multiset", circuit_size_multiset)
+        object.__setattr__(self, "two_circuit_witness", two_circuit_witness)
+        object.__setattr__(self, "partition_circuit_witness", partition_circuit_witness)
 
 
 def is_2_circuit(m: Matroid) -> bool:

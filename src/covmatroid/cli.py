@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 parse/validation error, 2 size-limit error,
 3 precondition failure, 4 verification mismatch (with --verify).
 All output is deterministic: sets print in label order, families in
 canonical order, and nothing time- or platform-dependent is emitted.
+
+The brute-force ``oracle`` module is imported only on ``--verify`` paths and
+``rough`` only by ``approx`` and ``neighborhood``, so the other commands
+start without loading them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import functools
 import sys
 from typing import Optional, Sequence
 
-from . import oracle
 from .core import (
     SetFamily,
     SizeLimitError,
@@ -40,15 +43,6 @@ from .io import (
     render_family_document,
 )
 from .matroid import Matroid, check_independence_axioms
-from .rough import (
-    ApproximationSpace,
-    MatroidalSpace,
-    approximation_findings,
-    lower_approx,
-    matroidal_neighborhood,
-    neighborhood,
-    upper_approx,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -88,6 +82,8 @@ def _document_family(doc: InputDocument) -> SetFamily:
 def _verify_independents(doc: InputDocument, fam: SetFamily) -> frozenset[int]:
     """Diff ``fam`` against the brute-force union family, built once, and
     return that family; a mismatch names the least differing subset."""
+    from . import oracle
+
     if doc.kind in ("covering", "partition"):
         bf = oracle.bf_covering_family(doc.covering())
         mismatch = "independence mismatch at X="
@@ -126,6 +122,8 @@ def cmd_circuits(doc: InputDocument, args, out) -> None:
     m = _document_matroid(doc)
     circuits = m.circuits()
     if args.verify:
+        from . import oracle
+
         indep = _verify_independents(doc, m.independent_family())
         if oracle.bf_circuits(indep, doc.ground.n) != circuits.bitset():
             raise VerifyMismatch("circuits mismatch against brute-force circuits")
@@ -138,6 +136,8 @@ def cmd_bases(doc: InputDocument, args, out) -> None:
     m = _document_matroid(doc)
     bases = m.bases()
     if args.verify:
+        from . import oracle
+
         indep = _verify_independents(doc, m.independent_family())
         if oracle.bf_bases(indep, doc.ground.n) != bases.bitset():
             raise VerifyMismatch("bases mismatch against brute-force bases")
@@ -150,8 +150,11 @@ def cmd_rank(doc: InputDocument, args, out) -> None:
     m = _document_matroid(doc)
     x = _parse_set(doc, args.set)
     r = m.rank(x)
-    if args.verify and oracle.bf_rank(m, x) != r:
-        raise VerifyMismatch(f"rank mismatch at X={format_set(x)}")
+    if args.verify:
+        from . import oracle
+
+        if oracle.bf_rank(m, x) != r:
+            raise VerifyMismatch(f"rank mismatch at X={format_set(x)}")
     print(f"rank({format_set(x)}) = {r}", file=out)
     if args.verify:
         print("verify: OK", file=out)
@@ -162,6 +165,8 @@ def cmd_closure(doc: InputDocument, args, out) -> None:
     x = _parse_set(doc, args.set)
     cl = m.closure(x)
     if args.verify:
+        from . import oracle
+
         r = oracle.bf_rank(m, x)
         bf_cl = 0
         for i in range(doc.ground.n):
@@ -178,6 +183,8 @@ def cmd_dual(doc: InputDocument, args, out) -> None:
     m = _document_matroid(doc)
     bases = m.dual().bases()
     if args.verify:
+        from . import oracle
+
         bf = oracle.bf_dual_family(m).bitset()
         if oracle.bf_bases(bf, doc.ground.n) != bases.bitset():
             raise VerifyMismatch("dual bases mismatch against base-complement family")
@@ -186,22 +193,32 @@ def cmd_dual(doc: InputDocument, args, out) -> None:
         print("verify: OK", file=out)
 
 
-def _matroidal_space(cov: CapacitatedCovering) -> MatroidalSpace:
-    """``cov`` as a matroidal space; a capacity below 1 fails a
-    precondition of the matroidal forms and is no input error."""
+def _matroidal_space(cov: CapacitatedCovering):
+    """``cov`` as a :class:`~covmatroid.rough.MatroidalSpace`; a capacity
+    below 1 fails a precondition of the matroidal forms and is no input
+    error."""
+    from .rough import MatroidalSpace
+
     try:
         return MatroidalSpace(cov)
     except ValidationError as exc:
         raise PreconditionError(str(exc)) from None
 
 
+# Both commands below build the matroidal space before they print, so a
+# zero capacity exits 3 with empty stdout.
+
+
 def cmd_neighborhood(doc: InputDocument, args, out) -> None:
+    from .rough import ApproximationSpace, matroidal_neighborhood, neighborhood
+
     cov = doc.covering()
     space = ApproximationSpace(doc.ground, cov.block_family())
     n = neighborhood(space, args.element)
+    ms = _matroidal_space(cov) if args.matroidal else None
     print(f"N({args.element}) = {format_set(n)}", file=out)
-    if args.matroidal:
-        mn = matroidal_neighborhood(_matroidal_space(cov), args.element)
+    if ms is not None:
+        mn = matroidal_neighborhood(ms, args.element)
         verdict = "AGREE" if mn.bits == n.bits else "DISAGREE"
         print(f"matroidal N({args.element}) = {format_set(mn)} {verdict}", file=out)
         if verdict == "DISAGREE":
@@ -209,6 +226,13 @@ def cmd_neighborhood(doc: InputDocument, args, out) -> None:
 
 
 def cmd_approx(doc: InputDocument, args, out) -> None:
+    from .rough import (
+        ApproximationSpace,
+        approximation_findings,
+        lower_approx,
+        upper_approx,
+    )
+
     cov = doc.covering()
     space = ApproximationSpace(doc.ground, cov.block_family())
     x = _parse_set(doc, args.set)

@@ -6,12 +6,12 @@ for partition matroids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     GroundSet,
+    Record,
     SetFamily,
     SubsetMask,
     ValidationError,
@@ -25,8 +25,7 @@ from .matroid import Matroid
 _CUT_CAP = 10
 
 
-@dataclass(frozen=True)
-class CapacitatedCovering:
+class CapacitatedCovering(Record):
     """Covering blocks K_1..K_m paired with nonnegative integer capacities.
 
     Blocks are kept in the given order (capacities are aligned by position);
@@ -36,16 +35,18 @@ class CapacitatedCovering:
     ground: GroundSet
     blocks: tuple[SubsetMask, ...]
     capacities: tuple[int, ...]
+    _fields = ("ground", "blocks", "capacities")
 
-    def __post_init__(self) -> None:
-        if len(self.blocks) != len(self.capacities):
+    def __init__(self, ground: GroundSet, blocks: tuple[SubsetMask, ...],
+                 capacities: tuple[int, ...]):
+        if len(blocks) != len(capacities):
             raise ValidationError("capacities must align with blocks")
-        if not self.blocks:
+        if not blocks:
             raise ValidationError("a covering needs at least one block")
         union = 0
         seen = set()
-        for b in self.blocks:
-            if b.ground != self.ground:
+        for b in blocks:
+            if b.ground != ground:
                 raise ValidationError("blocks must share the covering's ground set")
             if not b.bits:
                 raise ValidationError("covering blocks must be nonempty")
@@ -53,11 +54,14 @@ class CapacitatedCovering:
                 raise ValidationError("duplicate covering blocks are not allowed")
             seen.add(b.bits)
             union |= b.bits
-        if union != self.ground.full_mask:
+        if union != ground.full_mask:
             raise ValidationError("covering blocks must union to the universe")
-        for k in self.capacities:
+        for k in capacities:
             if k < 0:
                 raise ValidationError("capacities must be nonnegative")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "capacities", capacities)
 
     @classmethod
     def from_labels(
@@ -91,15 +95,16 @@ class CapacitatedCovering:
         return CapacitatedCovering(self.ground, self.blocks, tuple(capacities))
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
+class PartitionWitness(Record):
     """A capacitated covering whose blocks are pairwise disjoint."""
 
     covering: CapacitatedCovering
+    _fields = ("covering",)
 
-    def __post_init__(self) -> None:
-        if not self.covering.is_partition():
+    def __init__(self, covering: CapacitatedCovering):
+        if not covering.is_partition():
             raise ValidationError("partition blocks must be pairwise disjoint")
+        object.__setattr__(self, "covering", covering)
 
     @classmethod
     def from_labels(
@@ -119,18 +124,20 @@ class PartitionWitness:
         return self.covering.capacities
 
 
-@dataclass(frozen=True)
-class IndexedFamily:
+class IndexedFamily(Record):
     """An ordered family F_1..F_|J| of subsets; duplicates are permitted
     because transversal independence counts indices, not distinct sets."""
 
     ground: GroundSet
     members: tuple[SubsetMask, ...]
+    _fields = ("ground", "members")
 
-    def __post_init__(self) -> None:
-        for m in self.members:
-            if m.ground != self.ground:
+    def __init__(self, ground: GroundSet, members: tuple[SubsetMask, ...]):
+        for m in members:
+            if m.ground != ground:
                 raise ValidationError("family members must share one ground set")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def from_labels(

@@ -7,7 +7,6 @@ bitmasks, so all set arithmetic is plain bit arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 #: The largest ground set that enumerations and powerset scans accept.
@@ -109,16 +108,65 @@ def _canonical_sort_key(n: int) -> Callable[[int], int]:
     return key
 
 
-@dataclass(frozen=True)
-class SubsetMask:
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names in ``_fields`` the attributes its value is made of:
+    ``==`` (true only against an instance of the same class), ``hash`` and
+    ``repr`` (``Name(field=value, ...)``) read them in that order.  Its
+    ``__init__`` validates the arguments and stores the attributes with
+    ``object.__setattr__``; any later assignment or deletion raises
+    :class:`AttributeError`.  Copies and pickles restore the instance
+    dictionary without calling ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SubsetMask(Record):
     """One subset of a ground set, stored as an index bitmask."""
 
     ground: GroundSet
     bits: int
+    _fields = ("ground", "bits")
 
-    def __post_init__(self) -> None:
-        if self.bits & ~self.ground.full_mask:
+    def __init__(self, ground: GroundSet, bits: int):
+        if bits & ~ground.full_mask:
             raise ValidationError("subset refers to indices outside the ground set")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "bits", bits)
+
+    # Record's comparison and hash with the fields spelled out, since
+    # subsets are compared and hashed in bulk.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is SubsetMask:
+            return (self.ground, self.bits) == (other.ground, other.bits)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ground, self.bits))
 
     @property
     def cardinality(self) -> int:

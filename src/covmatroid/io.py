@@ -17,10 +17,9 @@ comments are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import GroundSet, ValidationError
+from .core import GroundSet, Record, ValidationError
 from .constructions import CapacitatedCovering, IndexedFamily, PartitionWitness
 
 KINDS = ("covering", "partition", "indexed_family")
@@ -35,14 +34,21 @@ class ParseError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(Record):
     """A parsed document: its kind, universe and the presentation it
     describes, built and validated once by :func:`parse_document`."""
 
     kind: str
     ground: GroundSet
     presentation: Union[CapacitatedCovering, PartitionWitness, IndexedFamily]
+    _fields = ("kind", "ground", "presentation")
+
+    def __init__(self, kind: str, ground: GroundSet,
+                 presentation: Union[CapacitatedCovering, PartitionWitness,
+                                     IndexedFamily]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "presentation", presentation)
 
     def covering(self) -> CapacitatedCovering:
         if self.kind == "covering":

@@ -8,12 +8,12 @@ functions or by :func:`check_independence_axioms`-vetted families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Optional
 
 from .core import (
     GroundSet,
+    Record,
     SetFamily,
     SizeLimitError,
     SubsetMask,
@@ -30,8 +30,7 @@ VIOLATES_I2 = "violates_I2"
 VIOLATES_I3 = "violates_I3"
 
 
-@dataclass(frozen=True)
-class AxiomCertificate:
+class AxiomCertificate(Record):
     """Verdict of an independence-axiom check, with witnesses on failure.
 
     * ``violates_I2`` carries (I, I') with I' ⊆ I, I independent, I' not.
@@ -40,7 +39,12 @@ class AxiomCertificate:
     """
 
     verdict: str
-    witnesses: tuple[SubsetMask, ...] = ()
+    witnesses: tuple[SubsetMask, ...]
+    _fields = ("verdict", "witnesses")
+
+    def __init__(self, verdict: str, witnesses: tuple[SubsetMask, ...] = ()):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witnesses", witnesses)
 
     @property
     def is_matroid(self) -> bool:

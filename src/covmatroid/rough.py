@@ -8,9 +8,7 @@ they can be diffed: their agreement (or any counterexample) is surfaced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .core import GroundSet, SetFamily, SubsetMask, ValidationError
+from .core import GroundSet, Record, SetFamily, SubsetMask, ValidationError
 from .constructions import (
     CapacitatedCovering,
     _check_block_index,
@@ -20,23 +18,25 @@ from .constructions import (
 from .matroid import Matroid
 
 
-@dataclass(frozen=True)
-class ApproximationSpace:
+class ApproximationSpace(Record):
     """A universe together with a covering of it."""
 
     ground: GroundSet
     covering: SetFamily
+    _fields = ("ground", "covering")
 
-    def __post_init__(self) -> None:
-        if self.covering.ground != self.ground:
+    def __init__(self, ground: GroundSet, covering: SetFamily):
+        if covering.ground != ground:
             raise ValidationError("covering must live on the space's ground set")
         union = 0
-        for block in self.covering:
+        for block in covering:
             if not block.bits:
                 raise ValidationError("covering blocks must be nonempty")
             union |= block.bits
-        if union != self.ground.full_mask:
+        if union != ground.full_mask:
             raise ValidationError("covering blocks must union to the universe")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "covering", covering)
 
 
 def neighborhood(space: ApproximationSpace, x: str) -> SubsetMask:
@@ -68,8 +68,7 @@ def upper_approx(space: ApproximationSpace, x: SubsetMask) -> SubsetMask:
     return SubsetMask(space.ground, out)
 
 
-@dataclass(frozen=True)
-class MatroidalSpace:
+class MatroidalSpace(Record):
     """A covering with positive capacities plus one matroid per block, the
     slices the matroidal forms of the approximation operators read.
 
@@ -85,21 +84,25 @@ class MatroidalSpace:
     """
 
     covering: CapacitatedCovering
-    via_covering: bool = False
-    slices: tuple[Matroid, ...] = field(init=False, compare=False, repr=False)
-    recovered: tuple[SubsetMask, ...] = field(init=False, compare=False, repr=False)
+    via_covering: bool
+    slices: tuple[Matroid, ...]
+    recovered: tuple[SubsetMask, ...]
+    # The slices and recovered blocks follow from the two fields.
+    _fields = ("covering", "via_covering")
 
-    def __post_init__(self) -> None:
-        c = self.covering
+    def __init__(self, covering: CapacitatedCovering, via_covering: bool = False):
+        c = covering
         if any(k < 1 for k in c.capacities):
             raise ValidationError("matroidal operators require all capacities ≥ 1")
-        if self.via_covering:
+        if via_covering:
             slices = tuple(covering_matroid_slice(c, i) for i in range(c.m))
         else:
             slices = tuple(k_rank_matroid(c.ground, b, k)
                            for b, k in zip(c.blocks, c.capacities))
-        object.__setattr__(self, "slices", slices)
         empty = c.ground.empty()
+        object.__setattr__(self, "covering", covering)
+        object.__setattr__(self, "via_covering", via_covering)
+        object.__setattr__(self, "slices", slices)
         object.__setattr__(self, "recovered",
                            tuple(s.closure(empty).complement() for s in slices))
 
@@ -169,8 +172,7 @@ def matroidal_upper(ms: MatroidalSpace, x: SubsetMask) -> SubsetMask:
     return SubsetMask(ms.ground, out)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     """A subset X on which a matroidal operator disagrees with its direct
     counterpart."""
 
@@ -178,6 +180,14 @@ class Finding:
     subset: SubsetMask
     direct: SubsetMask
     matroidal: SubsetMask
+    _fields = ("operator", "subset", "direct", "matroidal")
+
+    def __init__(self, operator: str, subset: SubsetMask, direct: SubsetMask,
+                 matroidal: SubsetMask):
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "subset", subset)
+        object.__setattr__(self, "direct", direct)
+        object.__setattr__(self, "matroidal", matroidal)
 
     def __str__(self) -> str:
         return (

@@ -219,10 +219,13 @@ class TestExitCodes:
         assert code == 3
 
     def test_precondition_is_3_for_zero_capacity_matroidal(self):
-        code, _ = run(
+        # Both matroidal commands fail before they print anything.
+        assert run(
             "approx", fx("zero_cap.txt"), "--set", "a", "--matroidal"
-        )
-        assert code == 3
+        ) == (3, "")
+        assert run(
+            "neighborhood", fx("zero_cap.txt"), "--element", "a", "--matroidal"
+        ) == (3, "")
 
     def test_verify_mismatch_is_4(self):
         code, _ = run("approx", fx("example1.txt"), "--set", "a", "--matroidal")
