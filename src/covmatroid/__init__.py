@@ -56,6 +56,30 @@ from .classify import (
     recover_partition_from_2circuit,
 )
 
+# Each name exported from a module loaded on first use, with that module.
+_LAZY = {
+    **dict.fromkeys((
+        "ApproximationSpace",
+        "Finding",
+        "MatroidalSpace",
+        "approximation_findings",
+        "lower_approx",
+        "matroidal_block",
+        "matroidal_lower",
+        "matroidal_membership",
+        "matroidal_neighborhood",
+        "matroidal_upper",
+        "neighborhood",
+        "upper_approx",
+    ), "rough"),
+    **dict.fromkeys((
+        "bf_dual_family",
+        "bf_matching",
+        "bf_rank",
+        "bf_union_independent",
+    ), "oracle"),
+}
+
 __all__ = [
     "DEFAULT_ENUM_CAP",
     "GroundSet",
@@ -83,22 +107,6 @@ __all__ = [
     "transversal_as_covering",
     "transversal_matroid",
     "union_matroids",
-    "ApproximationSpace",
-    "Finding",
-    "MatroidalSpace",
-    "approximation_findings",
-    "lower_approx",
-    "matroidal_block",
-    "matroidal_lower",
-    "matroidal_membership",
-    "matroidal_neighborhood",
-    "matroidal_upper",
-    "neighborhood",
-    "upper_approx",
-    "bf_dual_family",
-    "bf_matching",
-    "bf_rank",
-    "bf_union_independent",
     "ClassificationReport",
     "VerificationError",
     "classify",
@@ -106,33 +114,10 @@ __all__ = [
     "is_double_circuit",
     "is_partition_circuit",
     "recover_partition_from_2circuit",
+    *_LAZY,
 ]
 
 __version__ = "0.1.0"
-
-# Each name exported from a module loaded on first use, with that module.
-_LAZY = {
-    **dict.fromkeys((
-        "ApproximationSpace",
-        "Finding",
-        "MatroidalSpace",
-        "approximation_findings",
-        "lower_approx",
-        "matroidal_block",
-        "matroidal_lower",
-        "matroidal_membership",
-        "matroidal_neighborhood",
-        "matroidal_upper",
-        "neighborhood",
-        "upper_approx",
-    ), "rough"),
-    **dict.fromkeys((
-        "bf_dual_family",
-        "bf_matching",
-        "bf_rank",
-        "bf_union_independent",
-    ), "oracle"),
-}
 
 
 def __getattr__(name: str):

@@ -4,8 +4,6 @@ witness partitions that regenerate the classified matroid."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .core import GroundSet, Record, SubsetMask, ValidationError, _canonical_sort_key
 from .constructions import (
     CapacitatedCovering,
@@ -19,7 +17,7 @@ from .matroid import Matroid
 class VerificationError(RuntimeError):
     """A recovered witness failed to regenerate the classified matroid."""
 
-    def __init__(self, message: str, differing: Optional[SubsetMask] = None):
+    def __init__(self, message: str, differing: SubsetMask | None = None):
         super().__init__(message)
         self.differing = differing
 
@@ -38,8 +36,8 @@ class ClassificationReport(Record):
     is_double_circuit: bool
     is_identically_self_dual: bool
     circuit_size_multiset: tuple[int, ...]
-    two_circuit_witness: Optional[PartitionWitness]
-    partition_circuit_witness: Optional[PartitionWitness]
+    two_circuit_witness: PartitionWitness | None
+    partition_circuit_witness: PartitionWitness | None
     _fields = ("is_2_circuit", "is_partition_circuit", "is_double_circuit",
                "is_identically_self_dual", "circuit_size_multiset",
                "two_circuit_witness", "partition_circuit_witness")
@@ -51,20 +49,16 @@ class ClassificationReport(Record):
         is_double_circuit: bool,
         is_identically_self_dual: bool,
         circuit_size_multiset: tuple[int, ...],
-        two_circuit_witness: Optional[PartitionWitness] = None,
-        partition_circuit_witness: Optional[PartitionWitness] = None,
+        two_circuit_witness: PartitionWitness | None = None,
+        partition_circuit_witness: PartitionWitness | None = None,
     ):
         if is_double_circuit and not (is_2_circuit and is_identically_self_dual):
             raise VerificationError(
                 "double-circuit matroid must be 2-circuit and identically self-dual"
             )
-        object.__setattr__(self, "is_2_circuit", is_2_circuit)
-        object.__setattr__(self, "is_partition_circuit", is_partition_circuit)
-        object.__setattr__(self, "is_double_circuit", is_double_circuit)
-        object.__setattr__(self, "is_identically_self_dual", is_identically_self_dual)
-        object.__setattr__(self, "circuit_size_multiset", circuit_size_multiset)
-        object.__setattr__(self, "two_circuit_witness", two_circuit_witness)
-        object.__setattr__(self, "partition_circuit_witness", partition_circuit_witness)
+        super().__init__(is_2_circuit, is_partition_circuit, is_double_circuit,
+                         is_identically_self_dual, circuit_size_multiset,
+                         two_circuit_witness, partition_circuit_witness)
 
 
 def is_2_circuit(m: Matroid) -> bool:
@@ -110,7 +104,7 @@ def recover_partition_from_2circuit(m: Matroid) -> PartitionWitness:
     return witness
 
 
-def is_partition_circuit(m: Matroid) -> tuple[bool, Optional[PartitionWitness]]:
+def is_partition_circuit(m: Matroid) -> tuple[bool, PartitionWitness | None]:
     """True iff the circuits are pairwise disjoint and cover the universe;
     on success returns the circuit family as a verified partition witness."""
     circuits = m.circuits()

@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 parse/validation error, 2 size-limit error,
 All output is deterministic: sets print in label order, families in
 canonical order, and nothing time- or platform-dependent is emitted.
 
+``independents``, ``circuits`` and ``bases`` share one command,
+:func:`cmd_family`, which differs between them only in the family it uses.
+
 The brute-force ``oracle`` module is imported only on ``--verify`` paths and
 ``rough`` only by ``approx`` and ``neighborhood``, so the other commands
 start without loading them.
@@ -15,13 +18,14 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .core import (
     SetFamily,
     SizeLimitError,
     SubsetMask,
     ValidationError,
+    _canonical_sort_key,
     format_set,
     write_family,
 )
@@ -81,7 +85,8 @@ def _document_family(doc: InputDocument) -> SetFamily:
 
 def _verify_independents(doc: InputDocument, fam: SetFamily) -> frozenset[int]:
     """Diff ``fam`` against the brute-force union family, built once, and
-    return that family; a mismatch names the least differing subset."""
+    return that family; a mismatch names the differing subset that comes
+    first in canonical order, the order families print in."""
     from . import oracle
 
     if doc.kind in ("covering", "partition"):
@@ -92,12 +97,9 @@ def _verify_independents(doc: InputDocument, fam: SetFamily) -> frozenset[int]:
         mismatch = "transversal mismatch at T="
     diff = bf ^ fam.bitset()
     if diff:
-        raise VerifyMismatch(mismatch + format_set(doc.ground.mask(min(diff))))
+        first = min(diff, key=_canonical_sort_key(doc.ground.n))
+        raise VerifyMismatch(mismatch + format_set(doc.ground.mask(first)))
     return bf
-
-
-def _verify_ok(doc: InputDocument) -> str:
-    return f"verify: OK ({1 << doc.ground.n} subsets)"
 
 
 def cmd_axioms(doc: InputDocument, args, out) -> None:
@@ -109,41 +111,23 @@ def cmd_axioms(doc: InputDocument, args, out) -> None:
 # anything, so a size-limit or mismatch exit leaves stdout empty.
 
 
-def cmd_independents(doc: InputDocument, args, out) -> None:
-    fam = _document_matroid(doc).independent_family()
+def cmd_family(doc: InputDocument, args, out) -> None:
+    """Print the family ``args.command`` names.  With --verify, first diff
+    the independent family against the union family and, for circuits and
+    bases, the printed family against the oracle's, derived from it."""
+    kind = args.command
+    m = _document_matroid(doc)
+    fam = getattr(m, "independent_family" if kind == "independents" else kind)()
     if args.verify:
-        _verify_independents(doc, fam)
+        indep = _verify_independents(doc, m.independent_family())
+        if kind != "independents":
+            from . import oracle
+
+            if getattr(oracle, "bf_" + kind)(indep, doc.ground.n) != fam.bitset():
+                raise VerifyMismatch(f"{kind} mismatch against brute-force {kind}")
     write_family(fam, out)
     if args.verify:
-        print(_verify_ok(doc), file=out)
-
-
-def cmd_circuits(doc: InputDocument, args, out) -> None:
-    m = _document_matroid(doc)
-    circuits = m.circuits()
-    if args.verify:
-        from . import oracle
-
-        indep = _verify_independents(doc, m.independent_family())
-        if oracle.bf_circuits(indep, doc.ground.n) != circuits.bitset():
-            raise VerifyMismatch("circuits mismatch against brute-force circuits")
-    write_family(circuits, out)
-    if args.verify:
-        print(_verify_ok(doc), file=out)
-
-
-def cmd_bases(doc: InputDocument, args, out) -> None:
-    m = _document_matroid(doc)
-    bases = m.bases()
-    if args.verify:
-        from . import oracle
-
-        indep = _verify_independents(doc, m.independent_family())
-        if oracle.bf_bases(indep, doc.ground.n) != bases.bitset():
-            raise VerifyMismatch("bases mismatch against brute-force bases")
-    write_family(bases, out)
-    if args.verify:
-        print(_verify_ok(doc), file=out)
+        print(f"verify: OK ({1 << doc.ground.n} subsets)", file=out)
 
 
 def cmd_rank(doc: InputDocument, args, out) -> None:
@@ -193,14 +177,14 @@ def cmd_dual(doc: InputDocument, args, out) -> None:
         print("verify: OK", file=out)
 
 
-def _matroidal_space(cov: CapacitatedCovering):
+def _matroidal_space(cov: CapacitatedCovering, via_covering: bool = False):
     """``cov`` as a :class:`~covmatroid.rough.MatroidalSpace`; a capacity
     below 1 fails a precondition of the matroidal forms and is no input
     error."""
     from .rough import MatroidalSpace
 
     try:
-        return MatroidalSpace(cov)
+        return MatroidalSpace(cov, via_covering)
     except ValidationError as exc:
         raise PreconditionError(str(exc)) from None
 
@@ -241,8 +225,7 @@ def cmd_approx(doc: InputDocument, args, out) -> None:
     if not args.matroidal:
         print(f"SL={format_set(sl)} SH={format_set(sh)}", file=out)
         return
-    findings = approximation_findings(_matroidal_space(cov), x,
-                                      via_covering=args.verify)
+    findings = approximation_findings(_matroidal_space(cov, args.verify), x)
     verdict = "AGREE" if not findings else "DISAGREE"
     print(f"N/A for sets; SL={format_set(sl)} SH={format_set(sh)} {verdict}", file=out)
     for finding in findings:
@@ -289,9 +272,9 @@ def cmd_convert(doc: InputDocument, args, out) -> None:
 
 COMMANDS = {
     "axioms": cmd_axioms,
-    "independents": cmd_independents,
-    "circuits": cmd_circuits,
-    "bases": cmd_bases,
+    "independents": cmd_family,
+    "circuits": cmd_family,
+    "bases": cmd_family,
     "rank": cmd_rank,
     "closure": cmd_closure,
     "dual": cmd_dual,
@@ -344,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
+def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:

@@ -6,8 +6,8 @@ for partition matroids.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     GroundSet,
@@ -59,9 +59,7 @@ class CapacitatedCovering(Record):
         for k in capacities:
             if k < 0:
                 raise ValidationError("capacities must be nonnegative")
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "capacities", capacities)
+        super().__init__(ground, blocks, capacities)
 
     @classmethod
     def from_labels(
@@ -104,7 +102,7 @@ class PartitionWitness(Record):
     def __init__(self, covering: CapacitatedCovering):
         if not covering.is_partition():
             raise ValidationError("partition blocks must be pairwise disjoint")
-        object.__setattr__(self, "covering", covering)
+        super().__init__(covering)
 
     @classmethod
     def from_labels(
@@ -136,8 +134,7 @@ class IndexedFamily(Record):
         for m in members:
             if m.ground != ground:
                 raise ValidationError("family members must share one ground set")
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "members", members)
+        super().__init__(ground, members)
 
     @classmethod
     def from_labels(
@@ -452,7 +449,7 @@ def transversal_as_covering(f: IndexedFamily) -> CapacitatedCovering:
     )
 
 
-def covering_as_transversal(c: CapacitatedCovering) -> Optional[IndexedFamily]:
+def covering_as_transversal(c: CapacitatedCovering) -> IndexedFamily | None:
     """Blocks as an indexed family when all capacities are 1, yielding the
     same matroid; ``None`` when some capacity differs.  Only the all-ones
     case is handled here, although M(K, k) is the transversal matroid of

@@ -7,7 +7,7 @@ bitmasks, so all set arithmetic is plain bit arithmetic.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 #: The largest ground set that enumerations and powerset scans accept.
 DEFAULT_ENUM_CAP = 22
@@ -114,14 +114,21 @@ class Record:
     A subclass names in ``_fields`` the attributes its value is made of:
     ``==`` (true only against an instance of the same class), ``hash`` and
     ``repr`` (``Name(field=value, ...)``) read them in that order.  Its
-    ``__init__`` validates the arguments and stores the attributes with
-    ``object.__setattr__``; any later assignment or deletion raises
+    ``__init__`` validates the arguments and ends in ``super().__init__``
+    with one value per field, in that order; this class stores them with
+    ``object.__setattr__``, and any later assignment or deletion raises
     :class:`AttributeError`.  Copies and pickles restore the instance
     dictionary without calling ``__init__``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values: object):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -155,6 +162,7 @@ class SubsetMask(Record):
     def __init__(self, ground: GroundSet, bits: int):
         if bits & ~ground.full_mask:
             raise ValidationError("subset refers to indices outside the ground set")
+        # Stored here, not by Record.__init__, since subsets are built in bulk.
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "bits", bits)
 

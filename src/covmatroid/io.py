@@ -17,8 +17,6 @@ comments are ignored.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 from .core import GroundSet, Record, ValidationError
 from .constructions import CapacitatedCovering, IndexedFamily, PartitionWitness
 
@@ -28,7 +26,7 @@ KINDS = ("covering", "partition", "indexed_family")
 class ParseError(ValueError):
     """Malformed input document; carries the offending line number."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{message}")
@@ -40,15 +38,12 @@ class InputDocument(Record):
 
     kind: str
     ground: GroundSet
-    presentation: Union[CapacitatedCovering, PartitionWitness, IndexedFamily]
+    presentation: CapacitatedCovering | PartitionWitness | IndexedFamily
     _fields = ("kind", "ground", "presentation")
 
     def __init__(self, kind: str, ground: GroundSet,
-                 presentation: Union[CapacitatedCovering, PartitionWitness,
-                                     IndexedFamily]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "presentation", presentation)
+                 presentation: CapacitatedCovering | PartitionWitness | IndexedFamily):
+        super().__init__(kind, ground, presentation)
 
     def covering(self) -> CapacitatedCovering:
         if self.kind == "covering":
@@ -75,9 +70,9 @@ class InputDocument(Record):
 
 
 def parse_document(text: str) -> InputDocument:
-    fmt: Optional[str] = None
-    kind: Optional[str] = None
-    ground: Optional[GroundSet] = None
+    fmt: str | None = None
+    kind: str | None = None
+    ground: GroundSet | None = None
     raw_blocks: list[tuple[int, list[str], int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -123,7 +118,7 @@ def parse_document(text: str) -> InputDocument:
             if eq >= 0 and value[:eq + 1].replace(",", " ").split()[-1] != "k=":
                 value = value[eq + 1:]
             tokens = value.replace(",", " ").split()
-            k: Optional[int] = None
+            k: int | None = None
             elems = []
             for tok in tokens:
                 if tok.startswith("k="):

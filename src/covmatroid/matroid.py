@@ -8,8 +8,8 @@ functions or by :func:`check_independence_axioms`-vetted families.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import combinations, permutations
-from typing import Callable, Optional
 
 from .core import (
     GroundSet,
@@ -43,8 +43,7 @@ class AxiomCertificate(Record):
     _fields = ("verdict", "witnesses")
 
     def __init__(self, verdict: str, witnesses: tuple[SubsetMask, ...] = ()):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "witnesses", witnesses)
+        super().__init__(verdict, witnesses)
 
     @property
     def is_matroid(self) -> bool:
@@ -97,7 +96,7 @@ class Matroid:
         self,
         ground: GroundSet,
         indep_bits: Callable[[int], bool],
-        rank_hint: Optional[Callable[[int], int]] = None,
+        rank_hint: Callable[[int], int] | None = None,
         provenance: str = "oracle",
     ):
         if not indep_bits(0):
@@ -106,9 +105,9 @@ class Matroid:
         self.indep_bits = indep_bits
         self.rank_hint = rank_hint
         self.provenance = provenance
-        self._extend: Optional[Callable[[], Callable[[int, int], int]]] = None
-        self._dual_of: Optional[Matroid] = None
-        self._families: Optional[tuple[SetFamily, SetFamily, SetFamily]] = None
+        self._extend: Callable[[], Callable[[int, int], int]] | None = None
+        self._dual_of: Matroid | None = None
+        self._families: tuple[SetFamily, SetFamily, SetFamily] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -330,7 +329,7 @@ def check_independence_axioms(family: SetFamily) -> AxiomCertificate:
 
 def are_isomorphic(
     m1: Matroid, m2: Matroid
-) -> tuple[bool, Optional[dict[str, str]]]:
+) -> tuple[bool, dict[str, str] | None]:
     """Search for a label bijection mapping one independent family onto the
     other.  Cheap invariants (size, rank, circuit-size multiset) prune the
     factorial search."""

@@ -12,8 +12,8 @@ read the circuits Min(Opp(I)) and the bases Max(I) by one-element moves.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from itertools import permutations
-from typing import Callable, Sequence
 
 from .core import GroundSet, SetFamily, SizeLimitError, SubsetMask
 from .constructions import CapacitatedCovering, IndexedFamily

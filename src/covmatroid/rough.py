@@ -35,8 +35,7 @@ class ApproximationSpace(Record):
             union |= block.bits
         if union != ground.full_mask:
             raise ValidationError("covering blocks must union to the universe")
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "covering", covering)
+        super().__init__(ground, covering)
 
 
 def neighborhood(space: ApproximationSpace, x: str) -> SubsetMask:
@@ -100,8 +99,7 @@ class MatroidalSpace(Record):
             slices = tuple(k_rank_matroid(c.ground, b, k)
                            for b, k in zip(c.blocks, c.capacities))
         empty = c.ground.empty()
-        object.__setattr__(self, "covering", covering)
-        object.__setattr__(self, "via_covering", via_covering)
+        super().__init__(covering, via_covering)
         object.__setattr__(self, "slices", slices)
         object.__setattr__(self, "recovered",
                            tuple(s.closure(empty).complement() for s in slices))
@@ -184,10 +182,7 @@ class Finding(Record):
 
     def __init__(self, operator: str, subset: SubsetMask, direct: SubsetMask,
                  matroidal: SubsetMask):
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "direct", direct)
-        object.__setattr__(self, "matroidal", matroidal)
+        super().__init__(operator, subset, direct, matroidal)
 
     def __str__(self) -> str:
         return (

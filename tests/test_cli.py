@@ -126,7 +126,7 @@ class TestCommands:
         assert any(line.startswith("finding: lower mismatch") for line in lines[1:])
 
     def test_approx_matroidal_verify_disagree_prints_what_plain_prints(self):
-        # --verify rebuilds each slice as a zeroed covering matroid; the
+        # --verify builds each slice as a zeroed covering matroid; the
         # findings, and so the bytes, stay those of the k-rank slices.
         argv = ("approx", fx("example1.txt"), "--set", "a", "--matroidal")
         code, text = run(*argv, "--verify")
@@ -144,6 +144,31 @@ class TestCommands:
         )
         assert code == 0
         assert text == "N/A for sets; SL=∅ SH={a,b,c} AGREE\n"
+
+    def test_approx_matroidal_verify_builds_one_space(self, monkeypatch):
+        # One covering slice per block and no k-rank slice before them.
+        from covmatroid import rough
+
+        built = []
+        honest = rough.covering_matroid_slice
+
+        def counting(c, i):
+            built.append(i)
+            return honest(c, i)
+
+        def refused(*args):
+            raise AssertionError("a k-rank slice was built")
+
+        monkeypatch.setattr(rough, "covering_matroid_slice", counting)
+        monkeypatch.setattr(rough, "k_rank_matroid", refused)
+        code, text = run("approx", fx("example1.txt"), "--set", "a",
+                         "--matroidal", "--verify")
+        assert code == 4
+        assert text == (
+            "N/A for sets; SL=∅ SH={a,b} DISAGREE\n"
+            "finding: lower mismatch at X={a}: direct=∅ matroidal={a,b}\n"
+        )
+        assert built == [0, 1]
 
     def test_classify_pairs(self):
         code, text = run("classify", fx("pairs.txt"))
@@ -314,6 +339,21 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("independents", fx(name), "--verify") == (4, "")
         assert capsys.readouterr().err == f"error: {prefix}{{c}}\n"
+
+    def test_verify_names_the_first_differing_subset_in_print_order(
+            self, monkeypatch, capsys):
+        # {b,c} is the smaller mask, but {a,d} prints first.
+        honest = Matroid.independent_family
+
+        def planted(self):
+            fam = honest(self)
+            dropped = (fam.ground.subset("ad"), fam.ground.subset("bc"))
+            return SetFamily(fam.ground, [s for s in fam if s not in dropped])
+
+        monkeypatch.setattr(Matroid, "independent_family", planted)
+        capsys.readouterr()
+        assert run("independents", fx("pairs.txt"), "--verify") == (4, "")
+        assert capsys.readouterr().err == "error: independence mismatch at X={a,d}\n"
 
 
 class TestDeterminism:

@@ -24,6 +24,7 @@ from covmatroid import (
     MatroidalSpace,
     PartitionWitness,
 )
+from covmatroid.core import Record
 from covmatroid.io import parse_document
 
 FIX = Path(__file__).parent / "fixtures"
@@ -73,6 +74,15 @@ print(json.dumps(seen))
             "verify": ["covmatroid.rough", "covmatroid.oracle"],
         }
 
+    def test_cli_import_loads_no_typing(self):
+        # -S keeps site's own imports out of sys.modules.
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys, covmatroid.cli; print('typing' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout == "False\n"
+
 
 class TestPublicNames:
     def test_every_exported_name_is_its_home_modules_object(self):
@@ -84,6 +94,7 @@ class TestPublicNames:
             assert all(vars(mod)[name] is value for mod in homes), name
 
     def test_star_import_and_dir_list_every_exported_name(self):
+        assert len(set(covmatroid.__all__)) == len(covmatroid.__all__)
         namespace = {}
         exec("from covmatroid import *", namespace)
         assert set(covmatroid.__all__) <= namespace.keys()
@@ -184,3 +195,19 @@ class TestRecords:
             copies.append(pickle.loads(pickle.dumps(rec)))
         for dup in copies:
             assert dup == rec and hash(dup) == hash(rec) and repr(dup) == shown
+
+
+class R(Record):
+    """A record with no ``__init__`` of its own: the base stores its values."""
+
+    _fields = ("a", "b")
+
+
+class TestRecordStore:
+    def test_stores_one_value_per_field_in_order(self):
+        assert repr(R(1, 2)) == "R(a=1, b=2)"
+
+    @pytest.mark.parametrize("values", [(1,), (1, 2, 3)])
+    def test_wrong_number_of_values_is_a_type_error(self, values):
+        with pytest.raises(TypeError, match="takes 2 values"):
+            R(*values)
