@@ -189,17 +189,21 @@ def _matroidal_space(cov: CapacitatedCovering, via_covering: bool = False):
         raise PreconditionError(str(exc)) from None
 
 
-# Both commands below build the matroidal space before they print, so a
-# zero capacity exits 3 with empty stdout.
+# Both commands below check the element or set first, then build the
+# matroidal space, whose own approximation space the direct operators read,
+# before they print: an unknown label exits 1 and a zero capacity exits 3,
+# each with empty stdout.
 
 
 def cmd_neighborhood(doc: InputDocument, args, out) -> None:
     from .rough import ApproximationSpace, matroidal_neighborhood, neighborhood
 
     cov = doc.covering()
-    space = ApproximationSpace(doc.ground, cov.block_family())
-    n = neighborhood(space, args.element)
+    doc.ground.index(args.element)
     ms = _matroidal_space(cov) if args.matroidal else None
+    space = (ApproximationSpace(doc.ground, cov.block_family()) if ms is None
+             else ms.space())
+    n = neighborhood(space, args.element)
     print(f"N({args.element}) = {format_set(n)}", file=out)
     if ms is not None:
         mn = matroidal_neighborhood(ms, args.element)
@@ -218,14 +222,16 @@ def cmd_approx(doc: InputDocument, args, out) -> None:
     )
 
     cov = doc.covering()
-    space = ApproximationSpace(doc.ground, cov.block_family())
     x = _parse_set(doc, args.set)
+    ms = _matroidal_space(cov, args.verify) if args.matroidal else None
+    space = (ApproximationSpace(doc.ground, cov.block_family()) if ms is None
+             else ms.space())
     sl = lower_approx(space, x)
     sh = upper_approx(space, x)
-    if not args.matroidal:
+    if ms is None:
         print(f"SL={format_set(sl)} SH={format_set(sh)}", file=out)
         return
-    findings = approximation_findings(_matroidal_space(cov, args.verify), x)
+    findings = approximation_findings(ms, x)
     verdict = "AGREE" if not findings else "DISAGREE"
     print(f"N/A for sets; SL={format_set(sl)} SH={format_set(sh)} {verdict}", file=out)
     for finding in findings:

@@ -118,7 +118,9 @@ class Record:
     with one value per field, in that order; this class stores them with
     ``object.__setattr__``, and any later assignment or deletion raises
     :class:`AttributeError`.  Copies and pickles restore the instance
-    dictionary without calling ``__init__``.
+    dictionary without calling ``__init__``, except for the slotted
+    :class:`SubsetMask`, which has no instance dictionary: its ``__reduce__``
+    rebuilds it through ``__init__``.
     """
 
     __slots__ = ()
@@ -157,6 +159,7 @@ class SubsetMask(Record):
 
     ground: GroundSet
     bits: int
+    __slots__ = ("ground", "bits")
     _fields = ("ground", "bits")
 
     def __init__(self, ground: GroundSet, bits: int):
@@ -165,6 +168,9 @@ class SubsetMask(Record):
         # Stored here, not by Record.__init__, since subsets are built in bulk.
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "bits", bits)
+
+    def __reduce__(self):
+        return (SubsetMask, (self.ground, self.bits))
 
     # Record's comparison and hash with the fields spelled out, since
     # subsets are compared and hashed in bulk.
@@ -266,8 +272,9 @@ class SetFamily:
 
     Members are canonically ordered by (cardinality, index-lexicographic),
     so equal families compare equal structurally and serialize identically.
-    The masks are kept as integers; the ``members`` tuple of
-    :class:`SubsetMask` is built on first access and kept.
+    The masks are kept as integers, each checked against the ground set when
+    the family is built; the ``members`` tuple of :class:`SubsetMask` is
+    built on first access and kept.
     """
 
     __slots__ = ("ground", "_ordered", "_members", "_bitset")
@@ -281,7 +288,11 @@ class SetFamily:
                     raise ValidationError("family members must share one ground set")
                 masks.append(m.bits)
             else:
-                masks.append(int(m))
+                m = int(m)
+                if m & ~ground.full_mask:
+                    raise ValidationError(
+                        "subset refers to indices outside the ground set")
+                masks.append(m)
         bitset = frozenset(masks)
         if len(bitset) != len(masks):
             raise ValidationError("duplicate members are forbidden in a set family")
@@ -289,8 +300,9 @@ class SetFamily:
 
     @classmethod
     def _canonical(cls, ground: GroundSet, ordered: list[int]) -> SetFamily:
-        """A family of masks that are already distinct and in canonical
-        order, taken as they are: no sort and no duplicate check."""
+        """A family of masks that are already distinct, in canonical order
+        and inside the ground set, taken as they are: no sort and no
+        check."""
         fam = cls.__new__(cls)
         fam.ground = ground
         fam._fill(ordered, frozenset(ordered))
@@ -304,7 +316,17 @@ class SetFamily:
     @property
     def members(self) -> tuple[SubsetMask, ...]:
         if self._members is None:
-            self._members = tuple(SubsetMask(self.ground, b) for b in self._ordered)
+            # The masks were checked when the family was built, so the slots
+            # are filled directly, with no validating __init__ per member.
+            ordered, ground = self._ordered, self.ground
+            new = object.__new__
+            set_ground = SubsetMask.ground.__set__
+            set_bits = SubsetMask.bits.__set__
+            boxed = [new(SubsetMask) for _ in ordered]
+            for x, bits in zip(boxed, ordered):
+                set_ground(x, ground)
+                set_bits(x, bits)
+            self._members = tuple(boxed)
         return self._members
 
     @classmethod

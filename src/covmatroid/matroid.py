@@ -173,43 +173,56 @@ class Matroid:
         dependent (I - max I) + e, so it is no circuit.  The rest of cand(I)
         are the dependent extensions; one is a circuit iff dropping any one
         element of I leaves a member of level k (dropping the new element
-        leaves I).  The top level holds the bases."""
+        leaves I).  A level is two lists, the members that still have
+        candidates and those candidates, so a leaf is never visited again;
+        the dependent extensions are kept as the walk meets them and tested
+        against the finished family, in which a k-set is a member iff it is
+        in level k.  The last non-empty level holds the bases."""
         if self._families is None:
             check_enum_cap(self.ground.n)
             extend = self._extend() if self._extend else self._scan_extensions
             independents = [0]
-            circuits: list[int] = []
-            level = {0: self.ground.full_mask}
-            while True:
-                nxt: dict[int, int] = {}
-                for i, cand in level.items():
-                    if not cand:
-                        continue
+            found = independents.append
+            dependent: list[tuple[int, int]] = []
+            top = 0  # where the last non-empty level starts in independents
+            members, cands = [0], [self.ground.full_mask]
+            while members:
+                start = len(independents)
+                nxt_members: list[int] = []
+                nxt_cands: list[int] = []
+                for i, cand in zip(members, cands):
                     ext = extend(i, cand)
-                    dep = cand ^ ext
+                    if ext != cand:
+                        dependent.append((i, cand ^ ext))
                     while ext:
                         e = ext & -ext
                         ext ^= e
-                        nxt[i | e] = ext
-                    while dep:
-                        e = dep & -dep
-                        dep ^= e
-                        c = i | e
-                        rest = i
-                        while rest:
-                            low = rest & -rest
-                            if c ^ low not in level:
-                                break
-                            rest ^= low
-                        else:
-                            circuits.append(c)
-                if not nxt:
-                    break
-                independents += nxt
-                level = nxt
-            self._families = (SetFamily._canonical(self.ground, independents),
+                        found(i | e)
+                        if ext:
+                            nxt_members.append(i | e)
+                            nxt_cands.append(ext)
+                if len(independents) > start:
+                    top = start
+                members, cands = nxt_members, nxt_cands
+            family = SetFamily._canonical(self.ground, independents)
+            indep = family.bitset()
+            circuits = []
+            for i, dep in dependent:
+                while dep:
+                    e = dep & -dep
+                    dep ^= e
+                    c = i | e
+                    rest = i
+                    while rest:
+                        low = rest & -rest
+                        if c ^ low not in indep:
+                            break
+                        rest ^= low
+                    else:
+                        circuits.append(c)
+            self._families = (family,
                               SetFamily._canonical(self.ground, circuits),
-                              SetFamily._canonical(self.ground, list(level)))
+                              SetFamily._canonical(self.ground, independents[top:]))
         return self._families
 
     def independent_family(self) -> SetFamily:
@@ -254,7 +267,8 @@ class Matroid:
         rank_bits = self.rank_hint or self.greedy_rank_bits
 
         def dual_indep(bits: int) -> bool:
-            return rank_bits(full & ~bits) == r_full
+            # U − ∅ = U, so ∅ needs no rank call (the I1 check asks for it).
+            return not bits or rank_bits(full & ~bits) == r_full
 
         def dual_rank(bits: int) -> int:
             return bits.bit_count() + rank_bits(full & ~bits) - r_full

@@ -109,7 +109,14 @@ class MatroidalSpace(Record):
         return self.covering.ground
 
     def space(self) -> ApproximationSpace:
-        return ApproximationSpace(self.ground, self.covering.block_family())
+        """The covering as an :class:`ApproximationSpace`, built on first use
+        and kept."""
+        try:
+            return self._space
+        except AttributeError:
+            space = ApproximationSpace(self.ground, self.covering.block_family())
+            object.__setattr__(self, "_space", space)
+            return space
 
 
 def matroidal_block(ms: MatroidalSpace, i: int) -> SubsetMask:

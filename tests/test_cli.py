@@ -146,7 +146,8 @@ class TestCommands:
         assert text == "N/A for sets; SL=∅ SH={a,b,c} AGREE\n"
 
     def test_approx_matroidal_verify_builds_one_space(self, monkeypatch):
-        # One covering slice per block and no k-rank slice before them.
+        # One covering slice per block and no k-rank slice before them, and
+        # one approximation space, which the direct operators read too.
         from covmatroid import rough
 
         built = []
@@ -159,8 +160,16 @@ class TestCommands:
         def refused(*args):
             raise AssertionError("a k-rank slice was built")
 
+        spaces = []
+        space_init = rough.ApproximationSpace.__init__
+
+        def counting_space(self, *args):
+            spaces.append(args)
+            space_init(self, *args)
+
         monkeypatch.setattr(rough, "covering_matroid_slice", counting)
         monkeypatch.setattr(rough, "k_rank_matroid", refused)
+        monkeypatch.setattr(rough.ApproximationSpace, "__init__", counting_space)
         code, text = run("approx", fx("example1.txt"), "--set", "a",
                          "--matroidal", "--verify")
         assert code == 4
@@ -169,6 +178,7 @@ class TestCommands:
             "finding: lower mismatch at X={a}: direct=∅ matroidal={a,b}\n"
         )
         assert built == [0, 1]
+        assert len(spaces) == 1
 
     def test_classify_pairs(self):
         code, text = run("classify", fx("pairs.txt"))
@@ -251,6 +261,13 @@ class TestExitCodes:
         assert run(
             "neighborhood", fx("zero_cap.txt"), "--element", "a", "--matroidal"
         ) == (3, "")
+        # An unknown label is an input error before the capacity is checked.
+        assert run(
+            "approx", fx("zero_cap.txt"), "--set", "zz", "--matroidal"
+        ) == (1, "")
+        assert run(
+            "neighborhood", fx("zero_cap.txt"), "--element", "zz", "--matroidal"
+        ) == (1, "")
 
     def test_verify_mismatch_is_4(self):
         code, _ = run("approx", fx("example1.txt"), "--set", "a", "--matroidal")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import covmatroid
-from covmatroid import GroundSet, SetFamily, SizeLimitError, ValidationError
+from covmatroid import GroundSet, SetFamily, SizeLimitError, SubsetMask, ValidationError
 from covmatroid.core import _WRITE_BLOCK, check_enum_cap, format_set, write_family
 
 
@@ -71,6 +71,12 @@ class TestSetFamily:
         g1, g2 = GroundSet("ab"), GroundSet("cd")
         with pytest.raises(ValidationError):
             SetFamily(g1, [g2.subset("c")])
+
+    def test_int_members_outside_the_ground_set_rejected(self):
+        g = GroundSet("abc")
+        for bad in (1 << g.n, -1):
+            with pytest.raises(ValidationError, match="outside the ground set"):
+                SetFamily(g, [0, bad])
 
 
 @given(st.integers(min_value=1, max_value=16).flatmap(
@@ -154,6 +160,22 @@ def test_members_are_built_on_first_read_and_kept():
     first = f.members
     assert first is f.members
     assert [m.bits for m in first] == [0, 0b0100, 0b0011]
+
+
+def test_members_are_boxed_without_init(monkeypatch):
+    g = GroundSet("abcde")
+    f = SetFamily(g, range(1 << g.n))
+    expected = [SubsetMask(g, b) for b in f._ordered]
+
+    def refuse(*args):
+        raise AssertionError("SubsetMask.__init__ called")
+
+    monkeypatch.setattr(SubsetMask, "__init__", refuse)
+    members = f.members
+    assert list(members) == expected
+    assert all(type(x) is SubsetMask and x.ground is g for x in members)
+    assert [hash(x) for x in members] == [hash(x) for x in expected]
+    assert [repr(x) for x in members] == [repr(x) for x in expected]
 
 
 @given(st.integers(min_value=1, max_value=12).flatmap(

@@ -260,6 +260,34 @@ def _scan_definitions(m):
     return tuple(_canonical(m.ground, fam) for fam in (indep, circuits, bases))
 
 
+_EDGE_LEVELS = {
+    "rank-0 covering": lambda: covering_matroid(CapacitatedCovering.from_labels(
+        GroundSet("abcd"), [["a", "b"], ["b", "c", "d"]], [0, 0])),
+    "free covering": lambda: covering_matroid(CapacitatedCovering.from_labels(
+        GroundSet("abcd"), [["a", "b"], ["b", "c", "d"]], [2, 3])),
+    "rank-0 on the scan hook": rank0_matroid,
+    "free on the scan hook": lambda: free_matroid(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_LEVELS))
+def test_walk_edge_levels_match_powerset_definitions(name):
+    """A rank-0 walk ends at level 0, with bases [∅] and every singleton a
+    circuit; a free one at level n, with bases [U] and no circuit."""
+    m = _EDGE_LEVELS[name]()
+    assert (m._extend is None) == name.endswith("scan hook")
+    g = m.ground
+    indep, circuits, bases = _scan_definitions(m)
+    assert list(m.independent_family()) == indep
+    assert list(m.circuits()) == circuits
+    assert list(m.bases()) == bases
+    if name.startswith("rank-0"):
+        assert indep == bases == [g.empty()]
+        assert circuits == [g.mask(1 << i) for i in range(g.n)]
+    else:
+        assert bases == [g.full()] and circuits == []
+
+
 def _random_partition(rng, n):
     g = GroundSet(f"x{i}" for i in range(n))
     parts = [[] for _ in range(rng.randint(1, 4))]
@@ -482,6 +510,20 @@ class TestDual:
         )
         assert (dual.independent_family().bitset()
                 == expected.independent_family().bitset())
+
+    def test_dual_asks_the_primal_rank_of_u_once(self):
+        m = example2_matroid()
+        asked = []
+        rank = m.rank_hint
+
+        def counted(bits):
+            asked.append(bits)
+            return rank(bits)
+
+        m.rank_hint = counted
+        dual = m.dual()
+        assert asked == [m.ground.full_mask]
+        assert dual.indep_bits(0) and asked == [m.ground.full_mask]
 
     def test_dual_rank_hint_consistent(self):
         m = example2_matroid().dual()

@@ -174,11 +174,11 @@ class TestRecords:
         other, _ = _records()[index - 1]
         assert rec is not twin and rec == twin and hash(rec) == hash(twin)
         assert rec != other and rec.__eq__(other) is NotImplemented
-        assert rec.__eq__(tuple(vars(rec).values())) is NotImplemented
+        assert rec.__eq__(rec._values()) is NotImplemented
 
     def test_assignment_and_deletion_raise(self, index):
         rec, _ = _records()[index]
-        name = next(iter(vars(rec)))
+        name = rec._fields[0]
         with pytest.raises(AttributeError, match="cannot assign"):
             setattr(rec, name, None)
         with pytest.raises(AttributeError, match="cannot assign"):
