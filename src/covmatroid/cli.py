@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 parse/validation error, 2 size-limit error,
-3 precondition failure, 4 verification mismatch (with --verify).
+Exit codes: 0 success, 1 parse/validation error, 2 size-limit or usage
+error, 3 precondition failure, 4 verification mismatch (with --verify).
 All output is deterministic: sets print in label order, families in
 canonical order, and nothing time- or platform-dependent is emitted.
 
@@ -10,15 +10,20 @@ canonical order, and nothing time- or platform-dependent is emitted.
 
 The brute-force ``oracle`` module is imported only on ``--verify`` paths and
 ``rough`` only by ``approx`` and ``neighborhood``, so the other commands
-start without loading them.
+start without loading them.  ``COMMANDS`` and ``_OPTIONS`` declare each
+command and option once.  :func:`main` reads a plain argv (the command, one
+input, and the command's options spelled in full, each value its own token)
+straight from them.  argparse, through :func:`build_parser`, is loaded
+only for ``--help``, usage errors (exit 2) and the other spellings it
+accepts, such as ``--set=a``.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .core import (
     SetFamily,
@@ -276,69 +281,104 @@ def cmd_convert(doc: InputDocument, args, out) -> None:
         out.write(render_family_document(fam))
 
 
+# Each option once: its help text and whether it takes a value.  An option
+# that takes a value is required by every command that takes it; the others
+# are flags.  Help lists a command's options in this order.
+_OPTIONS = {
+    "--set": ("comma-separated element labels; \"\" for ∅", True),
+    "--element": ("element label", True),
+    "--matroidal": ("also evaluate the matroidal forms and report "
+                    "AGREE/DISAGREE", False),
+    "--verify": ("cross-check against the brute-force oracles", False),
+}
+
+# Each command once: its handler, its help text and the options it takes
+# besides --verify, which every command takes.
 COMMANDS = {
-    "axioms": cmd_axioms,
-    "independents": cmd_family,
-    "circuits": cmd_family,
-    "bases": cmd_family,
-    "rank": cmd_rank,
-    "closure": cmd_closure,
-    "dual": cmd_dual,
-    "approx": cmd_approx,
-    "neighborhood": cmd_neighborhood,
-    "classify": cmd_classify,
-    "convert": cmd_convert,
+    "axioms": (cmd_axioms, "check the independence axioms on the naive family", ()),
+    "independents": (cmd_family,
+                     "list the independent sets of the induced matroid", ()),
+    "circuits": (cmd_family, "list the circuits of the induced matroid", ()),
+    "bases": (cmd_family, "list the bases of the induced matroid", ()),
+    "rank": (cmd_rank, "rank of a subset", ("--set",)),
+    "closure": (cmd_closure, "closure of a subset", ("--set",)),
+    "dual": (cmd_dual, "list the bases of the dual matroid", ()),
+    "approx": (cmd_approx, "lower/upper approximations of a subset",
+               ("--set", "--matroidal")),
+    "neighborhood": (cmd_neighborhood, "neighborhood of an element",
+                     ("--element", "--matroidal")),
+    "classify": (cmd_classify, "run all taxonomy predicates", ()),
+    "convert": (cmd_convert,
+                "convert between covering and transversal presentations", ()),
 }
 
 
+def _read_plain(argv: Sequence[str]) -> dict | None:
+    """What ``vars(build_parser().parse_args(argv))`` is for a plain argv,
+    or None for any other argv.
+
+    A plain argv is a command, one input and the command's options, spelled
+    in full, in any order; a value is the next token.  Neither the input nor
+    a value may start with ``-``.  Anything else (help, ``--set=a``, an
+    abbreviation, ``--``, a missing or unknown token) is left to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    takes = COMMANDS[argv[0]][2] + ("--verify",)
+    args = {"command": argv[0], "input": None}
+    for opt in takes:
+        args[opt[2:]] = None if _OPTIONS[opt][1] else False
+    tokens = iter(argv[1:])
+    for tok in tokens:
+        if not tok.startswith("-"):
+            if args["input"] is not None:
+                return None
+            args["input"] = tok
+        elif tok not in takes:
+            return None
+        elif _OPTIONS[tok][1]:
+            value = next(tokens, "-")  # no value left: not plain
+            if value.startswith("-"):
+                return None
+            args[tok[2:]] = value
+        else:
+            args[tok[2:]] = True
+    return None if None in args.values() else args
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser for the argvs :func:`_read_plain` leaves, built
+    from the same tables; the only place argparse is imported."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="covmatroid",
         description="Covering-matroid constructions, rough approximations and "
         "classification over small finite universes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str, set_arg=False, element_arg=False,
-            matroidal=False):
+    for name, (_, help_, takes) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("input", help="input document (format: 1)")
-        if set_arg:
-            p.add_argument("--set", required=True,
-                           help="comma-separated element labels; \"\" for ∅")
-        if element_arg:
-            p.add_argument("--element", required=True, help="element label")
-        if matroidal:
-            p.add_argument("--matroidal", action="store_true",
-                           help="also evaluate the matroidal forms and "
-                           "report AGREE/DISAGREE")
-        p.add_argument("--verify", action="store_true",
-                       help="cross-check against the brute-force oracles")
-        return p
-
-    add("axioms", "check the independence axioms on the naive family")
-    add("independents", "list the independent sets of the induced matroid")
-    add("circuits", "list the circuits of the induced matroid")
-    add("bases", "list the bases of the induced matroid")
-    add("rank", "rank of a subset", set_arg=True)
-    add("closure", "closure of a subset", set_arg=True)
-    add("dual", "list the bases of the dual matroid")
-    add("approx", "lower/upper approximations of a subset", set_arg=True,
-        matroidal=True)
-    add("neighborhood", "neighborhood of an element", element_arg=True,
-        matroidal=True)
-    add("classify", "run all taxonomy predicates")
-    add("convert", "convert between covering and transversal presentations")
+        for opt, (text, takes_value) in _OPTIONS.items():
+            if opt in takes or opt == "--verify":
+                if takes_value:
+                    p.add_argument(opt, required=True, help=text)
+                else:
+                    p.add_argument(opt, action="store_true", help=text)
     return parser
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    plain = _read_plain(argv)
+    args = (build_parser().parse_args(argv) if plain is None
+            else SimpleNamespace(**plain))
     try:
         doc = parse_file(args.input)
-        COMMANDS[args.command](doc, args, out)
+        COMMANDS[args.command][0](doc, args, out)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

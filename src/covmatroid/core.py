@@ -235,22 +235,36 @@ def format_set(x: SubsetMask) -> str:
 _WRITE_BLOCK = 4096
 
 
+def _label_tuples(labels: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """Entry ``b`` is the tuple of ``labels[i]`` over the set bits ``i`` of
+    ``b``, for every ``b`` below ``2 ** len(labels)``."""
+    table: list[tuple[str, ...]] = [()]
+    for lab in labels:
+        table += [t + (lab,) for t in table]
+    return table
+
+
 def write_family(fam: SetFamily, out) -> None:
     """Write each member of ``fam`` as :func:`format_set` renders it, one a
     line, in canonical order, at most ``_WRITE_BLOCK`` lines per write.
 
     Reads the masks, never ``members``.  Labels ``8j..8j+7`` get one table
-    from a byte of the mask to its label tuple (the last table has
-    2^(n mod 8) entries), so a member takes at most ⌈n/8⌉ lookups.
+    from a byte of the mask to its label tuple, so a member takes at most
+    ⌈n/8⌉ lookups.  A table holds every byte value (the last one 2^(n mod 8)
+    of them), or, for a family with fewer members than a quarter of them,
+    only the values its members use, each joined from its two nibbles.
     """
     labels = fam.ground.labels
-    tables = []
-    for lo in range(0, len(labels), 8):
-        table: list[tuple[str, ...]] = [()]
-        for lab in labels[lo:lo + 8]:
-            table += [t + (lab,) for t in table]
-        tables.append(table)
     ordered = fam._ordered
+    tables: list = []
+    for lo in range(0, len(labels), 8):
+        slot = labels[lo:lo + 8]
+        if 4 * len(ordered) < 1 << len(slot):
+            low, high = _label_tuples(slot[:4]), _label_tuples(slot[4:])
+            tables.append({b: low[b & 15] + high[b >> 4]
+                           for b in {bits >> lo & 255 for bits in ordered}})
+        else:
+            tables.append(_label_tuples(slot))
     for start in range(0, len(ordered), _WRITE_BLOCK):
         lines = []
         for bits in ordered[start:start + _WRITE_BLOCK]:

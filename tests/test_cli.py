@@ -1,14 +1,16 @@
 """End-to-end CLI tests: every command, every exit code, and byte-identical
 determinism across repeated runs."""
 
+import contextlib
 import io
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from covmatroid import Matroid, SetFamily
-from covmatroid.cli import main
+from covmatroid.cli import COMMANDS, _read_plain, build_parser, main
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -18,6 +20,8 @@ def fx(name):
 
 
 def run(*argv):
+    """Exit code and stdout of a plain argv, which never reaches argparse."""
+    assert _read_plain(argv) is not None, argv
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
@@ -371,6 +375,76 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("independents", fx("pairs.txt"), "--verify") == (4, "")
         assert capsys.readouterr().err == "error: independence mismatch at X={a,d}\n"
+
+
+def parsed(argv):
+    """``vars`` of argparse's namespace for ``argv``, or None where argparse
+    exits (help, usage error)."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+_TOKENS = (*COMMANDS, "bogus", "--set", "--element", "--matroidal", "--verify",
+           "--set=a", "--element=b", "--ver", "--se", "--mat", "-h", "--help",
+           "--", "-", "", "-a", "a", "a,b", "doc.txt")
+
+
+class TestArgv:
+    """A plain argv is read straight from the command table; every other
+    argv goes to argparse, which prints help and usage errors."""
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(_TOKENS), max_size=7))
+    @example(["rank", "doc.txt", "--set", "-a"])
+    @example(["rank", "doc.txt", "--set", "a", "--matroidal"])
+    @example(["approx", "--set", "a", "doc.txt", "--matroidal", "--set", "b"])
+    def test_plain_reader_agrees_with_argparse(self, argv):
+        plain = _read_plain(argv)
+        assert plain is None or plain == parsed(argv)
+
+    @pytest.mark.parametrize("argv", [
+        # the benchmark's command shapes: flags before the value option
+        ["axioms", "doc.txt"], ["independents", "doc.txt", "--verify"],
+        ["rank", "doc.txt", "--verify", "--set", "a,b"],
+        ["approx", "doc.txt", "--matroidal", "--verify", "--set", "a"],
+        ["neighborhood", "doc.txt", "--matroidal", "--element", "b"],
+        # options before the input, and an empty value
+        ["closure", "--set", "", "doc.txt"],
+    ])
+    def test_plain_argvs_skip_argparse(self, argv):
+        plain = _read_plain(argv)
+        assert plain is not None and plain == parsed(argv)
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert ("{axioms,independents,circuits,bases,rank,closure,dual,approx,"
+                "neighborhood,classify,convert}") in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", fx("example1.txt")],
+        ["rank", fx("example1.txt"), "--set", "a", "--matroidal"],
+    ])
+    def test_usage_error_exits_2_with_empty_stdout(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv, out=io.StringIO())
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("spelling, plain", [
+        (["--set=a"], ["--set", "a"]),
+        (["--ver", "--set", "a"], ["--verify", "--set", "a"])])
+    def test_argparse_spellings_run_as_the_plain_one(self, spelling, plain):
+        argv = ["rank", fx("example1.txt"), *spelling]
+        assert _read_plain(argv) is None
+        out = io.StringIO()
+        code = main(argv, out=out)
+        assert (code, out.getvalue()) == run("rank", fx("example1.txt"), *plain)
 
 
 class TestDeterminism:

@@ -47,7 +47,8 @@ class TestImportFootprint:
     def test_cli_loads_rough_and_oracle_only_for_the_commands_using_them(self):
         loaded = fresh(f"""
 import io, json, sys
-ON_DEMAND = ("covmatroid.rough", "covmatroid.oracle", "dataclasses", "inspect")
+ON_DEMAND = ("covmatroid.rough", "covmatroid.oracle", "dataclasses", "inspect",
+             "argparse")
 
 def loaded():
     return [name for name in ON_DEMAND if name in sys.modules]
@@ -66,7 +67,8 @@ seen["verify"] = loaded()
 print(json.dumps(seen))
 """)
         # After --verify every module of the package is loaded, and still
-        # neither dataclasses nor inspect.
+        # neither dataclasses nor inspect; argparse loads only for help and
+        # usage errors.
         assert loaded == {
             "import": [],
             "rank": [],
