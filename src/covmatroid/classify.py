@@ -121,8 +121,10 @@ def is_partition_circuit(m: Matroid) -> tuple[bool, PartitionWitness | None]:
 
 
 def is_double_circuit(m: Matroid) -> bool:
-    """True iff all circuits of M and of its dual have cardinality 2."""
-    return is_2_circuit(m) and is_2_circuit(m.dual())
+    """True iff all circuits of M and of its dual have cardinality 2: M is
+    2-circuit and M = M* (see :func:`classify`), so the dual is not
+    walked."""
+    return is_2_circuit(m) and m.is_identically_self_dual()
 
 
 def classify(m: Matroid) -> ClassificationReport:

@@ -20,7 +20,6 @@ accepts, such as ``--set=a``.
 
 from __future__ import annotations
 
-import functools
 import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
@@ -346,7 +345,6 @@ def _read_plain(argv: Sequence[str]) -> dict | None:
     return None if None in args.values() else args
 
 
-@functools.cache
 def build_parser():
     """The argparse parser for the argvs :func:`_read_plain` leaves, built
     from the same tables; the only place argparse is imported."""

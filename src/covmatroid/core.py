@@ -301,12 +301,14 @@ class SetFamily:
                 if m.ground != ground:
                     raise ValidationError("family members must share one ground set")
                 masks.append(m.bits)
-            else:
-                m = int(m)
+            elif isinstance(m, int):
                 if m & ~ground.full_mask:
                     raise ValidationError(
                         "subset refers to indices outside the ground set")
                 masks.append(m)
+            else:
+                raise ValidationError(
+                    f"a family member is a SubsetMask or an int mask, not {m!r}")
         bitset = frozenset(masks)
         if len(bitset) != len(masks):
             raise ValidationError("duplicate members are forbidden in a set family")

@@ -217,7 +217,10 @@ def test_classify_matches_definitions(kind):
         )
         assert report.is_2_circuit == is_2_circuit(m)
         assert report.is_partition_circuit == is_partition_circuit(m)[0]
-        assert report.is_double_circuit == is_double_circuit(m)
+        # The definition: M and M* are both 2-circuit, by walking the dual.
+        double = is_2_circuit(m) and all(c.cardinality == 2
+                                         for c in m.dual().circuits())
+        assert report.is_double_circuit == is_double_circuit(m) == double
         self_dual = fam.bitset() == m.dual().independent_family().bitset()
         assert report.is_identically_self_dual == self_dual
         assert m.is_identically_self_dual() == self_dual

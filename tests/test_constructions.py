@@ -3,6 +3,7 @@ import time
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covmatroid import constructions
 from covmatroid import (
@@ -93,6 +94,13 @@ class TestKRankMatroid:
         for b in range(1 << abc.n):
             assert m.rank_hint(b) == m.greedy_rank_bits(b)
 
+    def test_block_of_another_ground_set_rejected(self, abc):
+        # Out of range ({f} of abcdef) or in range but meant elsewhere
+        # ({x} of xyz would read as {a}).
+        for block in (GroundSet("abcdef").subset("f"), GroundSet("xyz").subset("x")):
+            with pytest.raises(ValidationError, match="ground set"):
+                k_rank_matroid(abc, block, 1)
+
 
 class TestPartitionMatroid:
     def test_single_block_capacity_two(self, abc):
@@ -129,6 +137,110 @@ class TestUnionMatroids:
         zero = Matroid(abc, lambda bits: bits == 0, provenance="rank0")
         assert (union_matroids([m, zero]).independent_family()
                 == m.independent_family())
+
+    def test_components_that_are_not_k_rank_match_the_definition(self):
+        """Unions of two or three duals of covering matroids, uniform
+        matroids and graphic matroids (4 ≤ n ≤ 8) against the family
+        {I_1 ∪ … ∪ I_m} built from each component's independent family, on
+        every subset: independence and rank."""
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(4, 8)
+            g = GroundSet(f"x{i}" for i in range(n))
+            components = [_random_component(rng, g)
+                          for _ in range(rng.randint(2, 3))]
+            union = {0}
+            for m in components:
+                union = {a | b for a in union
+                         for b in m.independent_family().bitset()}
+            u = union_matroids(components)
+            rank = [0] * (1 << n)
+            for x in range(1, 1 << n):
+                low = x & -x
+                rank[x] = rank[x ^ low] + (x in union)
+                if x not in union:
+                    rest = x
+                    while rest:
+                        e = rest & -rest
+                        rest ^= e
+                        rank[x] = max(rank[x], rank[x ^ e])
+                assert u.indep_bits(x) == (x in union), (components, x)
+                assert u.rank_bits(x) == rank[x], (components, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_union_of_slices_is_the_covering_matroid(self, data):
+        """The paper's definition, M(K, k) = ∪ M(K_i, k_i), at every n up to
+        64: the union of the k-rank slices has the covering matroid's rank
+        and independence."""
+        c = data.draw(_wide_coverings())
+        m = covering_matroid(c)
+        u = union_matroids([k_rank_matroid(c.ground, b, k)
+                            for b, k in zip(c.blocks, c.capacities)])
+        queries = st.integers(0, c.ground.full_mask)
+        for x in data.draw(st.lists(queries, min_size=1, max_size=4)):
+            assert u.rank_bits(x) == m.rank_bits(x)
+            assert u.indep_bits(x) == m.indep_bits(x)
+
+
+def _forest_oracle(ends):
+    """A graphic matroid's oracle: element e is an edge between the vertices
+    ``ends[e]`` (a loop when they are equal), and a set is independent iff
+    its edges form a forest."""
+
+    def indep(bits):
+        parent = {}
+
+        def root(v):
+            while v in parent:
+                v = parent[v]
+            return v
+
+        while bits:
+            e = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            u, v = root(ends[e][0]), root(ends[e][1])
+            if u == v:
+                return False
+            parent[u] = v
+        return True
+
+    return indep
+
+
+def _random_component(rng, g):
+    """A graphic matroid, a uniform matroid or the dual of a covering
+    matroid on ``g``, whose labels are x0..x(n-1)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        vertices = rng.randint(2, 5)
+        ends = [(rng.randrange(vertices), rng.randrange(vertices))
+                for _ in range(g.n)]
+        return Matroid(g, _forest_oracle(ends), provenance="graphic")
+    if kind == 1:
+        k = rng.randint(0, g.n)
+        return Matroid(g, lambda bits: bits.bit_count() <= k,
+                       provenance="uniform")
+    return covering_matroid(
+        random_covering(rng, g.n, rng.randint(1, 4), kmin=0)).dual()
+
+
+@st.composite
+def _wide_coverings(draw):
+    """A covering of up to 64 elements by up to 12 drawn blocks, plus one
+    block of the elements they miss."""
+    n = draw(st.integers(1, 64))
+    g = GroundSet(f"x{i}" for i in range(n))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(1, g.full_mask), st.integers(0, 3)),
+        min_size=1, max_size=12, unique_by=lambda p: p[0]))
+    missed = g.full_mask
+    for b, _ in pairs:
+        missed &= ~b
+    if missed:
+        pairs.append((missed, draw(st.integers(0, 3))))
+    return CapacitatedCovering(g, tuple(g.mask(b) for b, _ in pairs),
+                               tuple(k for _, k in pairs))
 
 
 class TestCoveringMatroid:

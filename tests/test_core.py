@@ -78,6 +78,13 @@ class TestSetFamily:
             with pytest.raises(ValidationError, match="outside the ground set"):
                 SetFamily(g, [0, bad])
 
+    def test_members_that_are_no_mask_rejected(self):
+        # int("3") would read as {a,b}, int(1.7) as {a}.
+        g = GroundSet("abc")
+        for bad in ("3", 1.7, None, (0, 1)):
+            with pytest.raises(ValidationError, match="SubsetMask or an int mask"):
+                SetFamily(g, [0, bad])
+
 
 @given(st.integers(min_value=1, max_value=16).flatmap(
     lambda n: st.tuples(st.just(n), st.sets(

@@ -429,7 +429,7 @@ _CAPPED_ENUMERATIONS = (
     is_partition_circuit,
     recover_partition_from_2circuit,
     is_double_circuit,
-    lambda m: union_matroids([m, m]),
+    lambda m: union_matroids([m, m]).independent_family(),
     lambda m: check_independence_axioms(SetFamily(m.ground, [0])),
 )
 
