@@ -2,6 +2,14 @@
 transversal and partition-circuit matroids, plus the conversions between
 the covering and transversal presentations and the dual-parameter formula
 for partition matroids.
+
+Every handle comes from one of two private builders.  ``_cut_matroid``
+checks a table of (elements, capacity) cuts: partition, partition-circuit
+and k-rank matroids (M(K, k) is the partition matroid of {K, U - K} with
+capacities (k, 0)), and the min-cut table of a covering or transversal
+with few live blocks.  ``_placement_matroid`` places a set's elements one
+at a time: by augmenting paths for larger coverings and transversals, and
+by matroid partitioning for :func:`union_matroids`.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ class CapacitatedCovering(Record):
         if union != ground.full_mask:
             raise ValidationError("covering blocks must union to the universe")
         for k in capacities:
+            if type(k) is not int:
+                raise ValidationError("capacities must be integers")
             if k < 0:
                 raise ValidationError("capacities must be nonnegative")
         super().__init__(ground, blocks, capacities)
@@ -149,15 +159,17 @@ class IndexedFamily(Record):
         return u
 
 
-def _unplaced(caps: Sequence[int], adj: Sequence[Sequence[int]], bits: int,
-              first_only: bool) -> int:
-    """How many elements of ``bits`` find no augmenting path when placed in
-    ascending order, element e admitted by the blocks ``adj[e]`` and block
-    i holding up to ``caps[i]``; with ``first_only`` it stops at the first.
-    Each block keeps the list of the elements it holds."""
+def _augmenter(caps: Sequence[int], adj: Sequence[Sequence[int]]) -> Callable[[int], bool]:
+    """A fresh ``place`` for bipartite matching: element u is admitted by
+    the blocks ``adj[u]``, block i holds up to ``caps[i]`` elements, and u
+    goes in along an augmenting path if there is one; a call without
+    ``seen`` starts a new search.  Each block keeps the list of the
+    elements it holds."""
     held: list[list[int]] = [[] for _ in caps]
 
-    def place(u: int, seen: set[int]) -> bool:
+    def place(u: int, seen: set[int] | None = None) -> bool:
+        if seen is None:
+            seen = set()
         for i in adj[u]:
             if i in seen:
                 continue
@@ -174,16 +186,7 @@ def _unplaced(caps: Sequence[int], adj: Sequence[Sequence[int]], bits: int,
                     return True
         return False
 
-    missed = 0
-    rest = bits
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if not place(low.bit_length() - 1, set()):
-            missed += 1
-            if first_only:
-                break
-    return missed
+    return place
 
 
 def _cut_hook(cuts: Sequence[tuple[int, int]], n: int) -> Callable[[int, int], int]:
@@ -241,6 +244,30 @@ def _cut_matroid(ground: GroundSet, cuts: Sequence[tuple[int, int]],
     return m
 
 
+def _placement_matroid(ground: GroundSet, placer: Callable[[], Callable[[int], bool]],
+                       provenance: str) -> Matroid:
+    """The handle that hands the elements of a set, in ascending order, by
+    index to ``place`` of one fresh ``placer()``, which says whether each
+    one joins those placed.  A set is independent iff none is missed (the
+    query stops at the first miss); its rank is its size less the misses."""
+
+    def unplaced(bits: int, first_only: bool) -> int:
+        place = placer()
+        missed = 0
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            if not place(low.bit_length() - 1):
+                missed += 1
+                if first_only:
+                    break
+        return missed
+
+    return Matroid(ground, lambda bits: not unplaced(bits, True),
+                   rank_hint=lambda bits: bits.bit_count() - unplaced(bits, False),
+                   provenance=provenance)
+
+
 def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
                       caps: Sequence[int], provenance: str) -> Matroid:
     """A handle on the maximum bipartite flow between elements and
@@ -252,12 +279,13 @@ def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
     so it can never improve a cut or an assignment.  The path is chosen once,
     by the number of live blocks left:
 
-    * at most ``_CUT_CAP``: the flow value is the minimum cut over block
-      subsets B (max-flow min-cut).  The elements whose every admissible
-      block lies in B must fit within B's total capacity, and the flow equals
-      |X| minus the worst deficiency.  The table keeps the cuts in the order
-      the block subsets are met, unsorted.
-    * more: augmenting paths from an empty assignment on every query.
+    * at most ``_CUT_CAP``: a cut handle.  The flow value is the minimum
+      cut over block subsets B (max-flow min-cut).  The elements whose
+      every admissible block lies in B must fit within B's total capacity,
+      and the flow equals |X| minus the worst deficiency.  The table keeps
+      the cuts in the order the block subsets are met, unsorted.
+    * more: a placement handle, by augmenting paths from an empty
+      assignment on every query.
 
     Neither path keeps per-handle state that grows with queries.
     """
@@ -292,34 +320,32 @@ def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
         tuple(i for i, (bb, _) in enumerate(live) if bb >> e & 1)
         for e in range(ground.n)
     )
-    return Matroid(
-        ground,
-        lambda bits: not _unplaced(caps, adj, bits, True),
-        rank_hint=lambda bits: bits.bit_count() - _unplaced(caps, adj, bits, False),
-        provenance=provenance,
-    )
+    return _placement_matroid(ground, partial(_augmenter, caps, adj), provenance)
+
+
+def _partition_rank(pairs: Sequence[tuple[int, int]], bits: int) -> int:
+    r = 0
+    for bb, k in pairs:
+        c = (bits & bb).bit_count()
+        r += c if c < k else k
+    return r
 
 
 def k_rank_matroid(ground: GroundSet, block: SubsetMask, k: int) -> Matroid:
-    """The matroid whose independent sets are the subsets of ``block`` of
-    size at most ``k``; its loops are exactly U minus the block."""
+    """M(K, k), whose independent sets are the subsets of ``block`` of size
+    at most ``k``: the partition matroid of {K, U - K} with capacities
+    (k, 0), so its loops are exactly U minus the block."""
+    if type(k) is not int:
+        raise ValidationError("k must be an integer")
     if k < 0:
         raise ValidationError("k must be nonnegative")
     if block.ground != ground:
         raise ValidationError("the block must share the matroid's ground set")
-    bb = block.bits
-
-    def indep(bits: int) -> bool:
-        return bits & ~bb == 0 and bits.bit_count() <= k
-
-    def rank(bits: int) -> int:
-        return min((bits & bb).bit_count(), k)
-
-    return Matroid(ground, indep, rank_hint=rank, provenance="k-rank")
-
-
-def _partition_rank(pairs: Sequence[tuple[int, int]], bits: int) -> int:
-    return sum(min((bits & bb).bit_count(), k) for bb, k in pairs)
+    pairs = ((block.bits, k),)
+    rest = ground.full_mask & ~block.bits
+    # The cut of loops U - K adds nothing to the rank, so only K is summed.
+    cuts = pairs + ((rest, 0),) if rest else pairs
+    return _cut_matroid(ground, cuts, partial(_partition_rank, pairs), "k-rank")
 
 
 def partition_matroid(p: PartitionWitness) -> Matroid:
@@ -329,20 +355,19 @@ def partition_matroid(p: PartitionWitness) -> Matroid:
                         partial(_partition_rank, pairs), "partition")
 
 
-def _unpartitioned(oracles: Sequence[Callable[[int], bool]], bits: int,
-                   first_only: bool) -> int:
-    """How many elements of ``bits`` find no place when placed in ascending
-    order into disjoint parts, part i independent under ``oracles[i]``;
-    with ``first_only`` it stops at the first.  Matroid partitioning
-    (Edmonds 1968; Cunningham, SIAM J. Comput. 15(4), 1986): each element
-    s goes in along a shortest exchange path, found breadth-first from s,
-    where x reaches the y of a part i not holding x if part i - y + x stays
-    independent, and x ends the path if part i + x does.  On a shortest path all the
-    exchanges hold at once.  With no path the parts plus s are dependent in
-    the union, so the parts stay a basis of the elements met."""
+def _partitioner(oracles: Sequence[Callable[[int], bool]]) -> Callable[[int], bool]:
+    """A fresh ``place`` for matroid partitioning (Edmonds 1968; Cunningham,
+    SIAM J. Comput. 15(4), 1986) into disjoint parts, part i independent
+    under ``oracles[i]``.  Each element s goes in along a shortest exchange
+    path, found breadth-first from s, where x reaches the y of a part i not
+    holding x if part i - y + x stays independent, and x ends the path if
+    part i + x does.  On a shortest path all the exchanges hold at once.
+    With no path the parts plus s are dependent in the union, so the parts
+    stay a basis of the elements met."""
     parts = [0] * len(oracles)
 
-    def place(s: int) -> bool:
+    def place(e: int) -> bool:
+        s = 1 << e
         came: dict[int, tuple[int, int] | None] = {s: None}  # y: (x, i)
         queue = [s]
         for x in queue:
@@ -365,16 +390,7 @@ def _unpartitioned(oracles: Sequence[Callable[[int], bool]], bits: int,
                         queue.append(y)
         return False
 
-    missed = 0
-    rest = bits
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if not place(low):
-            missed += 1
-            if first_only:
-                break
-    return missed
+    return place
 
 
 def union_matroids(ms: Sequence[Matroid]) -> Matroid:
@@ -388,12 +404,7 @@ def union_matroids(ms: Sequence[Matroid]) -> Matroid:
         if m.ground != ground:
             raise ValidationError("union components must share a ground set")
     oracles = tuple(m.indep_bits for m in ms)
-    return Matroid(
-        ground,
-        lambda bits: not _unpartitioned(oracles, bits, True),
-        rank_hint=lambda bits: bits.bit_count() - _unpartitioned(oracles, bits, False),
-        provenance="union",
-    )
+    return _placement_matroid(ground, partial(_partitioner, oracles), "union")
 
 
 def covering_matroid(c: CapacitatedCovering) -> Matroid:
@@ -420,7 +431,8 @@ def covering_matroid_slice(c: CapacitatedCovering, i: int) -> Matroid:
     _check_block_index(c, i)
     caps = [0] * c.m
     caps[i] = c.capacities[i]
-    return covering_matroid(c.with_capacities(caps))
+    return _matching_matroid(c.ground, [b.bits for b in c.blocks], caps,
+                             "covering")
 
 
 def naive_covering_family(c: CapacitatedCovering) -> SetFamily:

@@ -82,6 +82,14 @@ class GroundSet:
         return f"GroundSet({list(self.labels)!r})"
 
 
+def _bits_on(ground: GroundSet, x: SubsetMask) -> int:
+    """The mask of ``x``, which must be a subset of ``ground`` (the same
+    object, or one with the same labels)."""
+    if x.ground is not ground and x.ground != ground:
+        raise ValidationError("the subset belongs to another ground set")
+    return x.bits
+
+
 def _indices(bits: int) -> tuple[int, ...]:
     out = []
     i = 0
@@ -199,16 +207,16 @@ class SubsetMask(Record):
         return bool(self.bits >> self.ground.index(label) & 1)
 
     def issubset(self, other: SubsetMask) -> bool:
-        return self.bits & ~other.bits == 0
+        return self.bits & ~_bits_on(self.ground, other) == 0
 
     def __or__(self, other: SubsetMask) -> SubsetMask:
-        return SubsetMask(self.ground, self.bits | other.bits)
+        return SubsetMask(self.ground, self.bits | _bits_on(self.ground, other))
 
     def __and__(self, other: SubsetMask) -> SubsetMask:
-        return SubsetMask(self.ground, self.bits & other.bits)
+        return SubsetMask(self.ground, self.bits & _bits_on(self.ground, other))
 
     def __sub__(self, other: SubsetMask) -> SubsetMask:
-        return SubsetMask(self.ground, self.bits & ~other.bits)
+        return SubsetMask(self.ground, self.bits & ~_bits_on(self.ground, other))
 
     def __len__(self) -> int:
         return self.cardinality
@@ -301,7 +309,7 @@ class SetFamily:
                 if m.ground != ground:
                     raise ValidationError("family members must share one ground set")
                 masks.append(m.bits)
-            elif isinstance(m, int):
+            elif type(m) is int:
                 if m & ~ground.full_mask:
                     raise ValidationError(
                         "subset refers to indices outside the ground set")
@@ -350,7 +358,7 @@ class SetFamily:
         return cls(ground, [ground.subset(s) for s in sets])
 
     def __contains__(self, x: SubsetMask) -> bool:
-        return x.bits in self._bitset
+        return _bits_on(self.ground, x) in self._bitset
 
     def contains_bits(self, bits: int) -> bool:
         return bits in self._bitset

@@ -18,6 +18,7 @@ from .core import (
     SizeLimitError,
     SubsetMask,
     ValidationError,
+    _bits_on,
     _canonical_sort_key,
     check_enum_cap,
 )
@@ -112,7 +113,7 @@ class Matroid:
     # -- basic queries ----------------------------------------------------
 
     def independent(self, x: SubsetMask) -> bool:
-        return self.indep_bits(x.bits)
+        return self.indep_bits(_bits_on(self.ground, x))
 
     def greedy_rank_bits(self, bits: int) -> int:
         """Greedy rank: scan in index order, keep elements preserving
@@ -132,17 +133,18 @@ class Matroid:
         return self.greedy_rank_bits(bits)
 
     def rank(self, x: SubsetMask) -> int:
-        return self.rank_bits(x.bits)
+        return self.rank_bits(_bits_on(self.ground, x))
 
     def closure(self, x: SubsetMask) -> SubsetMask:
         """All elements whose addition leaves the rank unchanged."""
-        r = self.rank_bits(x.bits)
-        out = x.bits
-        rest = self.ground.full_mask & ~x.bits
+        bits = _bits_on(self.ground, x)
+        r = self.rank_bits(bits)
+        out = bits
+        rest = self.ground.full_mask & ~bits
         while rest:
             low = rest & -rest
             rest ^= low
-            if self.rank_bits(x.bits | low) == r:
+            if self.rank_bits(bits | low) == r:
                 out |= low
         return SubsetMask(self.ground, out)
 

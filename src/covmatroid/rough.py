@@ -8,7 +8,7 @@ they can be diffed: their agreement (or any counterexample) is surfaced by
 
 from __future__ import annotations
 
-from .core import GroundSet, Record, SetFamily, SubsetMask, ValidationError
+from .core import GroundSet, Record, SetFamily, SubsetMask, ValidationError, _bits_on
 from .constructions import (
     CapacitatedCovering,
     _check_block_index,
@@ -51,18 +51,20 @@ def neighborhood(space: ApproximationSpace, x: str) -> SubsetMask:
 
 def lower_approx(space: ApproximationSpace, x: SubsetMask) -> SubsetMask:
     """Union of covering blocks contained in X."""
+    bits = _bits_on(space.ground, x)
     out = 0
     for block in space.covering:
-        if block.bits & ~x.bits == 0:
+        if block.bits & ~bits == 0:
             out |= block.bits
     return SubsetMask(space.ground, out)
 
 
 def upper_approx(space: ApproximationSpace, x: SubsetMask) -> SubsetMask:
     """Union of covering blocks meeting X."""
+    bits = _bits_on(space.ground, x)
     out = 0
     for block in space.covering:
-        if block.bits & x.bits:
+        if block.bits & bits:
             out |= block.bits
     return SubsetMask(space.ground, out)
 
@@ -160,9 +162,10 @@ def matroidal_lower(ms: MatroidalSpace, x: SubsetMask) -> SubsetMask:
     :func:`approximation_findings` for where it can differ from the direct
     lower approximation.
     """
+    bits = _bits_on(ms.ground, x)
     out = 0
     for i, slc in enumerate(ms.slices):
-        if slc.rank_bits(x.bits) == slc.rank_bits(ms.covering.blocks[i].bits):
+        if slc.rank_bits(bits) == slc.rank_bits(ms.covering.blocks[i].bits):
             out |= ms.recovered[i].bits
     return SubsetMask(ms.ground, out)
 
@@ -170,9 +173,10 @@ def matroidal_lower(ms: MatroidalSpace, x: SubsetMask) -> SubsetMask:
 def matroidal_upper(ms: MatroidalSpace, x: SubsetMask) -> SubsetMask:
     """Matroidal form of the upper approximation: union of recovered blocks
     over slices giving X positive rank."""
+    bits = _bits_on(ms.ground, x)
     out = 0
     for i, slc in enumerate(ms.slices):
-        if slc.rank_bits(x.bits) > 0:
+        if slc.rank_bits(bits) > 0:
             out |= ms.recovered[i].bits
     return SubsetMask(ms.ground, out)
 

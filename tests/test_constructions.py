@@ -69,6 +69,13 @@ class TestCapacitatedCovering:
         with pytest.raises(ValidationError):
             CapacitatedCovering.from_labels(g, [["a", "b"]], [1, 1])
 
+    def test_rejects_non_integer_capacities(self):
+        # 1.5 would give rank(U) = 1.5; True would pass for 1.
+        g = GroundSet("abc")
+        for bad in (1.5, True, "1"):
+            with pytest.raises(ValidationError, match="capacities must be integers"):
+                CapacitatedCovering(g, (g.subset("abc"),), (bad,))
+
     def test_partition_witness_requires_disjoint_blocks(self):
         g = GroundSet("abc")
         with pytest.raises(ValidationError):
@@ -100,6 +107,11 @@ class TestKRankMatroid:
         for block in (GroundSet("abcdef").subset("f"), GroundSet("xyz").subset("x")):
             with pytest.raises(ValidationError, match="ground set"):
                 k_rank_matroid(abc, block, 1)
+
+    def test_non_integer_k_rejected(self, abc):
+        for bad in (1.5, True):
+            with pytest.raises(ValidationError, match="k must be an integer"):
+                k_rank_matroid(abc, abc.subset("abc"), bad)
 
 
 class TestPartitionMatroid:
@@ -674,10 +686,13 @@ class TestExtensionHook:
 
     @staticmethod
     def handles(rng):
+        """(handle, matched) pairs; ``matched`` says whether the handle went
+        through the matcher, which picks its path by ``_CUT_CAP``."""
         for n in (1, 3, 5, 7, 8, 10):
             cov = random_covering(rng, n, rng.randint(1, 8), kmax=3, kmin=0)
-            yield covering_matroid(cov)
-            yield transversal_matroid(random_indexed_family(rng, n, rng.randint(1, 8)))
+            yield covering_matroid(cov), True
+            yield transversal_matroid(
+                random_indexed_family(rng, n, rng.randint(1, 8))), True
             g = cov.ground
             parts = [[] for _ in range(rng.randint(1, 4))]
             for label in g.labels:
@@ -685,8 +700,10 @@ class TestExtensionHook:
             parts = [p for p in parts if p]
             p = PartitionWitness.from_labels(
                 g, parts, [rng.randint(0, len(p) + 1) for p in parts])
-            yield partition_matroid(p)
-            yield partition_circuit_matroid(p)
+            yield partition_matroid(p), False
+            yield partition_circuit_matroid(p), False
+            for block in (cov.blocks[0], g.full()):
+                yield k_rank_matroid(g, block, rng.randint(0, 3)), False
 
     @staticmethod
     def queries(rng, m):
@@ -709,8 +726,8 @@ class TestExtensionHook:
     def test_hook_names_the_independent_extensions(self, monkeypatch, cut_cap):
         monkeypatch.setattr(constructions, "_CUT_CAP", cut_cap)
         rng = random.Random(59)
-        for m in self.handles(random.Random(53)):
-            if m.provenance in ("covering", "transversal"):
+        for m, matched in self.handles(random.Random(53)):
+            if matched:
                 assert (m._extend is None) == (cut_cap == 0)
             else:
                 assert m._extend is not None
@@ -722,7 +739,7 @@ class TestExtensionHook:
 
     def test_cut_order_does_not_change_the_hook(self):
         rng = random.Random(61)
-        for m in self.handles(random.Random(53)):
+        for m, _ in self.handles(random.Random(53)):
             cuts, n = m._extend.args
             cuts = list(cuts)
             rng.shuffle(cuts)
@@ -765,7 +782,7 @@ class TestWalkThroughTheHook:
     def builds(cls, rng):
         """(build, source) pairs: ``build(source)`` makes a fresh handle.
         Each partition has a one-element block, a capacity-0 cut of its
-        partition-circuit matroid."""
+        partition-circuit matroid; each k-rank matroid has loops."""
         for n, lo, hi in ((10, 4, 6), (11, 8, 10), (12, 8, 10), (13, 8, 10)) * 3:
             cov = cls.sparse_covering(rng, n, rng.randint(lo, hi))
             yield covering_matroid, cov
@@ -780,6 +797,8 @@ class TestWalkThroughTheHook:
                 g, parts, [rng.randint(0, len(p)) for p in parts])
             yield partition_matroid, p
             yield partition_circuit_matroid, p
+            yield (lambda args: k_rank_matroid(*args)), (
+                g, cov.blocks[0], rng.randint(0, 3))
 
     def test_walks_agree_member_for_member(self):
         zero_cut = repeated_capacity = False

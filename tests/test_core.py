@@ -31,6 +31,10 @@ class TestGroundSet:
             g.index("z")
 
 
+#: Ground sets of the same size as abc and of a larger one.
+FOREIGN = ("xyz", "xyzw")
+
+
 class TestSubsetMask:
     def test_complement_involution(self):
         g = GroundSet("abcd")
@@ -47,6 +51,19 @@ class TestSubsetMask:
         g = GroundSet("abc")
         assert repr(g.subset("ab")) == "{a,b}"
         assert repr(g.empty()) == "∅"
+
+    @pytest.mark.parametrize("op", ["or", "and", "sub", "issubset"])
+    def test_subset_of_another_ground_set_rejected(self, op):
+        # {a} | {z} of xyz would read as {a,c}; a ground set with the same
+        # labels is the same ground set.
+        g = GroundSet("abc")
+        apply = {"or": lambda x, y: x | y, "and": lambda x, y: x & y,
+                 "sub": lambda x, y: x - y, "issubset": SubsetMask.issubset}[op]
+        for labels in FOREIGN:
+            with pytest.raises(ValidationError, match="another ground set"):
+                apply(g.subset("a"), GroundSet(labels).subset("z"))
+        assert apply(g.subset("a"), GroundSet("abc").subset("c")) == apply(
+            g.subset("a"), g.subset("c"))
 
 
 class TestSetFamily:
@@ -79,11 +96,20 @@ class TestSetFamily:
                 SetFamily(g, [0, bad])
 
     def test_members_that_are_no_mask_rejected(self):
-        # int("3") would read as {a,b}, int(1.7) as {a}.
+        # int("3") would read as {a,b}, int(1.7) as {a}; a bool is an int,
+        # so [True, False] would read as {∅, {a}}.
         g = GroundSet("abc")
-        for bad in ("3", 1.7, None, (0, 1)):
+        for bad in ("3", 1.7, None, (0, 1), True):
             with pytest.raises(ValidationError, match="SubsetMask or an int mask"):
                 SetFamily(g, [0, bad])
+
+    def test_membership_of_a_subset_of_another_ground_set_rejected(self):
+        g = GroundSet("abc")
+        f = fam(g, "", "a", "b")
+        for labels in FOREIGN:
+            with pytest.raises(ValidationError, match="another ground set"):
+                GroundSet(labels).subset("x") in f
+        assert GroundSet("abc").subset("a") in f
 
 
 @given(st.integers(min_value=1, max_value=16).flatmap(

@@ -10,6 +10,7 @@ from covmatroid import (
     Matroid,
     SetFamily,
     SizeLimitError,
+    ValidationError,
     are_isomorphic,
     check_independence_axioms,
     classify,
@@ -156,6 +157,19 @@ def test_axiom_check_matches_a_plain_scan(n, data):
     family = SetFamily(GroundSet(f"x{i}" for i in range(n)), masks)
     cert = check_independence_axioms(family)
     assert (cert.verdict, cert.witnesses) == _plain_axiom_scan(family)
+
+
+@pytest.mark.parametrize("query", ["independent", "rank", "closure"])
+def test_subset_of_another_ground_set_rejected(query):
+    # On the rank-2 example, rank({x,y,z,w}) read 3 and {w} read independent.
+    m = example2_matroid()
+    ask = getattr(m, query)
+    for labels in ("xyz", "xyzw"):
+        with pytest.raises(ValidationError, match="another ground set"):
+            ask(GroundSet(labels).subset(labels[-1]))
+        with pytest.raises(ValidationError, match="another ground set"):
+            ask(GroundSet(labels).full())
+    assert ask(GroundSet("abc").subset("a")) == ask(m.ground.subset("a"))
 
 
 class TestRank:

@@ -45,8 +45,8 @@ class TestUnionOracle:
                 assert bf(x) == m.indep_bits(x.bits), (c, x)
 
     def test_union_matroids_agrees(self):
-        # The generic assignment search over the k-rank slices against the
-        # direct transcription over blocks and capacities.
+        # Matroid partitioning over the k-rank slices against the direct
+        # transcription over blocks and capacities.
         rng = random.Random(12)
         for _ in range(60):
             c = random_covering(rng, rng.randint(1, 6), rng.randint(1, 4),

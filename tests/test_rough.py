@@ -192,6 +192,30 @@ class TestMatroidalNeighborhood:
                 assert matroidal_neighborhood(ms, x) == neighborhood(space, x)
 
 
+@pytest.mark.parametrize("operator", [
+    "lower_approx", "upper_approx", "matroidal_lower", "matroidal_upper",
+    "approximation_findings", "approximation_findings_via_covering"])
+def test_subset_of_another_ground_set_rejected(operator, paper_space,
+                                                paper_matroidal):
+    # lower_approx read {a,b,c} and approximation_findings read [] for a
+    # subset of another ground set.
+    run = {
+        "lower_approx": lambda x: lower_approx(paper_space, x),
+        "upper_approx": lambda x: upper_approx(paper_space, x),
+        "matroidal_lower": lambda x: matroidal_lower(paper_matroidal, x),
+        "matroidal_upper": lambda x: matroidal_upper(paper_matroidal, x),
+        "approximation_findings": lambda x: approximation_findings(
+            paper_matroidal, x),
+        "approximation_findings_via_covering": lambda x: approximation_findings(
+            paper_matroidal, x, via_covering=True),
+    }[operator]
+    for labels in ("xyz", "xyzw"):
+        for x in (GroundSet(labels).subset(labels[-1]), GroundSet(labels).full()):
+            with pytest.raises(ValidationError, match="another ground set"):
+                run(x)
+    assert run(GroundSet("abc").subset("ab")) == run(paper_space.ground.subset("ab"))
+
+
 class TestMatroidalApproximations:
     def test_paper_lower(self, paper_matroidal, abc):
         # X={a,b} meets the second block in one element, so with k=1 the
