@@ -4,7 +4,9 @@ witness partitions that regenerate the classified matroid."""
 
 from __future__ import annotations
 
-from .core import GroundSet, Record, SubsetMask, ValidationError, _canonical_sort_key
+from collections.abc import Callable
+
+from .core import Record, SubsetMask, ValidationError, _canonical_sort_key
 from .constructions import (
     CapacitatedCovering,
     PartitionWitness,
@@ -67,23 +69,27 @@ def is_2_circuit(m: Matroid) -> bool:
     return all(c.cardinality == 2 for c in m.circuits())
 
 
-def _partition(ground: GroundSet, blocks: list[int], k: int) -> PartitionWitness:
-    masks = tuple(ground.mask(b) for b in blocks)
-    return PartitionWitness(CapacitatedCovering(ground, masks, (k,) * len(masks)))
-
-
-def _verify_witness(m: Matroid, regen: Matroid) -> None:
+def _witness(m: Matroid, blocks: list[int], k: int,
+             construction: Callable[[PartitionWitness], Matroid]) -> PartitionWitness:
+    """The witness of ``blocks``, in this order and each of capacity ``k``,
+    checked to regenerate M through ``construction``."""
+    ground = m.ground
+    witness = PartitionWitness(CapacitatedCovering(
+        ground, tuple(ground.mask(b) for b in blocks), (k,) * len(blocks)))
+    regen = construction(witness)
     diff = m.independent_family().bitset() ^ regen.independent_family().bitset()
     if diff:
         raise VerificationError(
             "witness does not regenerate the matroid",
-            SubsetMask(m.ground, min(diff, key=_canonical_sort_key(m.ground.n))),
+            SubsetMask(ground, min(diff, key=_canonical_sort_key(ground.n))),
         )
+    return witness
 
 
 def recover_partition_from_2circuit(m: Matroid) -> PartitionWitness:
     """Recover the partition whose all-ones partition matroid equals M: the
-    parallel classes joined by the 2-element circuits.
+    parallel classes, each an element and its 2-circuits (parallelism is
+    transitive), in ascending mask order.
 
     Circuit-free elements become singleton classes.  The recovered witness
     is verified by regenerating the matroid and diffing independent
@@ -95,29 +101,20 @@ def recover_partition_from_2circuit(m: Matroid) -> PartitionWitness:
         raise ValidationError("matroid has a circuit of size ≠ 2")
     classes = [1 << e for e in range(m.ground.n)]
     for c in circuits:
-        i, j = c.indices()
-        merged = classes[i] | classes[j]
-        for e in m.ground.mask(merged).indices():
-            classes[e] = merged
-    witness = _partition(m.ground, sorted(set(classes)), 1)
-    _verify_witness(m, partition_matroid(witness))
-    return witness
+        for e in c.indices():
+            classes[e] |= c.bits
+    return _witness(m, sorted(set(classes)), 1, partition_matroid)
 
 
 def is_partition_circuit(m: Matroid) -> tuple[bool, PartitionWitness | None]:
-    """True iff the circuits are pairwise disjoint and cover the universe;
-    on success returns the circuit family as a verified partition witness."""
+    """True iff the circuits are pairwise disjoint and cover the universe,
+    i.e. their sizes sum to n and they union to U; on success returns the
+    circuit family as a verified partition witness."""
     circuits = m.circuits()
-    union = 0
-    for c in circuits:
-        if union & c.bits:
-            return False, None
-        union |= c.bits
-    if union != m.ground.full_mask:
+    if (sum(len(c) for c in circuits) != m.ground.n
+            or circuits.union_mask().bits != m.ground.full_mask):
         return False, None
-    witness = _partition(m.ground, [c.bits for c in circuits], 0)
-    _verify_witness(m, partition_circuit_matroid(witness))
-    return True, witness
+    return True, _witness(m, circuits._ordered, 0, partition_circuit_matroid)
 
 
 def is_double_circuit(m: Matroid) -> bool:

@@ -23,6 +23,8 @@ from .core import (
     SetFamily,
     SubsetMask,
     ValidationError,
+    _bits_on,
+    _check_covering,
     check_enum_cap,
 )
 from .matroid import Matroid
@@ -51,19 +53,7 @@ class CapacitatedCovering(Record):
             raise ValidationError("capacities must align with blocks")
         if not blocks:
             raise ValidationError("a covering needs at least one block")
-        union = 0
-        seen = set()
-        for b in blocks:
-            if b.ground != ground:
-                raise ValidationError("blocks must share the covering's ground set")
-            if not b.bits:
-                raise ValidationError("covering blocks must be nonempty")
-            if b.bits in seen:
-                raise ValidationError("duplicate covering blocks are not allowed")
-            seen.add(b.bits)
-            union |= b.bits
-        if union != ground.full_mask:
-            raise ValidationError("covering blocks must union to the universe")
+        _check_covering(ground, (_bits_on(ground, b) for b in blocks))
         for k in capacities:
             if type(k) is not int:
                 raise ValidationError("capacities must be integers")
@@ -89,12 +79,8 @@ class CapacitatedCovering(Record):
         return len(self.blocks)
 
     def is_partition(self) -> bool:
-        total = 0
-        for b in self.blocks:
-            if total & b.bits:
-                return False
-            total |= b.bits
-        return True
+        # The blocks union to U, so they are disjoint iff their sizes sum to n.
+        return sum(len(b) for b in self.blocks) == self.ground.n
 
     def block_family(self) -> SetFamily:
         return SetFamily(self.ground, self.blocks)
@@ -142,8 +128,7 @@ class IndexedFamily(Record):
 
     def __init__(self, ground: GroundSet, members: tuple[SubsetMask, ...]):
         for m in members:
-            if m.ground != ground:
-                raise ValidationError("family members must share one ground set")
+            _bits_on(ground, m)
         super().__init__(ground, members)
 
     @classmethod
@@ -339,10 +324,9 @@ def k_rank_matroid(ground: GroundSet, block: SubsetMask, k: int) -> Matroid:
         raise ValidationError("k must be an integer")
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    if block.ground != ground:
-        raise ValidationError("the block must share the matroid's ground set")
-    pairs = ((block.bits, k),)
-    rest = ground.full_mask & ~block.bits
+    bits = _bits_on(ground, block)
+    pairs = ((bits, k),)
+    rest = ground.full_mask & ~bits
     # The cut of loops U - K adds nothing to the rank, so only K is summed.
     cuts = pairs + ((rest, 0),) if rest else pairs
     return _cut_matroid(ground, cuts, partial(_partition_rank, pairs), "k-rank")

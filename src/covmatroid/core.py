@@ -90,6 +90,22 @@ def _bits_on(ground: GroundSet, x: SubsetMask) -> int:
     return x.bits
 
 
+def _check_covering(ground: GroundSet, masks: Iterable[int]) -> None:
+    """Reject block masks, checked in order, unless each is nonempty and
+    new and together they union to the universe of ``ground``."""
+    union = 0
+    seen = set()
+    for bits in masks:
+        if not bits:
+            raise ValidationError("covering blocks must be nonempty")
+        if bits in seen:
+            raise ValidationError("duplicate covering blocks are not allowed")
+        seen.add(bits)
+        union |= bits
+    if union != ground.full_mask:
+        raise ValidationError("covering blocks must union to the universe")
+
+
 def _indices(bits: int) -> tuple[int, ...]:
     out = []
     i = 0
@@ -306,9 +322,7 @@ class SetFamily:
         masks = []
         for m in members:
             if isinstance(m, SubsetMask):
-                if m.ground != ground:
-                    raise ValidationError("family members must share one ground set")
-                masks.append(m.bits)
+                masks.append(_bits_on(ground, m))
             elif type(m) is int:
                 if m & ~ground.full_mask:
                     raise ValidationError(

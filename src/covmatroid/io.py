@@ -174,17 +174,17 @@ def parse_file(path: str) -> InputDocument:
     return parse_document(text)
 
 
-def render_covering_document(c: CapacitatedCovering) -> str:
-    lines = ["format: 1", "kind: covering",
-             "universe: " + " ".join(c.ground.labels)]
-    for b, k in zip(c.blocks, c.capacities):
-        lines.append("block: " + " ".join(b.labels()) + f" k={k}")
+def _render(kind: str, ground: GroundSet, blocks: list[str]) -> str:
+    """The document of ``kind`` over ``ground`` with one block line each."""
+    lines = ["format: 1", f"kind: {kind}", "universe: " + " ".join(ground.labels)]
+    lines += ["block: " + b for b in blocks]
     return "\n".join(lines) + "\n"
+
+
+def render_covering_document(c: CapacitatedCovering) -> str:
+    return _render("covering", c.ground, [" ".join(b.labels()) + f" k={k}"
+                                          for b, k in zip(c.blocks, c.capacities)])
 
 
 def render_family_document(f: IndexedFamily) -> str:
-    lines = ["format: 1", "kind: indexed_family",
-             "universe: " + " ".join(f.ground.labels)]
-    for m in f.members:
-        lines.append("block: " + " ".join(m.labels()))
-    return "\n".join(lines) + "\n"
+    return _render("indexed_family", f.ground, [" ".join(m.labels()) for m in f.members])

@@ -265,8 +265,8 @@ class Matroid:
         iff r(U-X) = r(U).
         """
         full = self.ground.full_mask
-        r_full = self.rank_bits(full)
-        rank_bits = self.rank_hint or self.greedy_rank_bits
+        rank_bits = self.rank_bits
+        r_full = rank_bits(full)
 
         def dual_indep(bits: int) -> bool:
             # U − ∅ = U, so ∅ needs no rank call (the I1 check asks for it).

@@ -8,7 +8,8 @@ they can be diffed: their agreement (or any counterexample) is surfaced by
 
 from __future__ import annotations
 
-from .core import GroundSet, Record, SetFamily, SubsetMask, ValidationError, _bits_on
+from .core import GroundSet, Record, SetFamily, SubsetMask, ValidationError
+from .core import _bits_on, _check_covering
 from .constructions import (
     CapacitatedCovering,
     _check_block_index,
@@ -28,13 +29,7 @@ class ApproximationSpace(Record):
     def __init__(self, ground: GroundSet, covering: SetFamily):
         if covering.ground != ground:
             raise ValidationError("covering must live on the space's ground set")
-        union = 0
-        for block in covering:
-            if not block.bits:
-                raise ValidationError("covering blocks must be nonempty")
-            union |= block.bits
-        if union != ground.full_mask:
-            raise ValidationError("covering blocks must union to the universe")
+        _check_covering(ground, covering._ordered)
         super().__init__(ground, covering)
 
 
@@ -77,7 +72,8 @@ class MatroidalSpace(Record):
     M(K_i, k_i), or with ``via_covering`` the covering matroid with every
     capacity but the i-th set to 0, which the paper shows is the same
     matroid.  The operators take no other slices.  Each block is recovered
-    once, from its slice, when the space is built.
+    once, from its slice, and the covering's :class:`ApproximationSpace`,
+    which :meth:`space` returns, is built with the space.
 
     Capacities must all be at least 1: the matroidal representations are
     stated only for positive integers, and a zero capacity would silently
@@ -88,7 +84,7 @@ class MatroidalSpace(Record):
     via_covering: bool
     slices: tuple[Matroid, ...]
     recovered: tuple[SubsetMask, ...]
-    # The slices and recovered blocks follow from the two fields.
+    # The slices, recovered blocks and space follow from the two fields.
     _fields = ("covering", "via_covering")
 
     def __init__(self, covering: CapacitatedCovering, via_covering: bool = False):
@@ -105,20 +101,16 @@ class MatroidalSpace(Record):
         object.__setattr__(self, "slices", slices)
         object.__setattr__(self, "recovered",
                            tuple(s.closure(empty).complement() for s in slices))
+        object.__setattr__(self, "_space",
+                           ApproximationSpace(c.ground, c.block_family()))
 
     @property
     def ground(self) -> GroundSet:
         return self.covering.ground
 
     def space(self) -> ApproximationSpace:
-        """The covering as an :class:`ApproximationSpace`, built on first use
-        and kept."""
-        try:
-            return self._space
-        except AttributeError:
-            space = ApproximationSpace(self.ground, self.covering.block_family())
-            object.__setattr__(self, "_space", space)
-            return space
+        """The covering as an :class:`ApproximationSpace`."""
+        return self._space
 
 
 def matroidal_block(ms: MatroidalSpace, i: int) -> SubsetMask:

@@ -20,7 +20,7 @@ from covmatroid import (
     transversal_matroid,
 )
 
-from covmatroid.classify import VerificationError, _verify_witness
+from covmatroid.classify import VerificationError, _witness
 
 from conftest import random_covering
 
@@ -92,7 +92,7 @@ class TestVerifyWitness:
         m = partition_matroid(PartitionWitness.from_labels(g, blocks, [2, 1]))
         regen = partition_matroid(PartitionWitness.from_labels(g, blocks, [1, 2]))
         with pytest.raises(VerificationError) as caught:
-            _verify_witness(m, regen)
+            _witness(m, [0b1001, 0b0110], 1, lambda witness: regen)
         assert repr(caught.value.differing) == "{a,d}"
 
 
