@@ -1,6 +1,11 @@
 """Classification predicates for the special-matroid taxonomy: 2-circuit,
 partition-circuit, double-circuit and identically self-dual matroids, with
-witness partitions that regenerate the classified matroid."""
+witness partitions that regenerate the classified matroid.
+
+Both witnesses, the parallel classes of a 2-circuit matroid and the circuits
+of a partition-circuit one, are built and checked by one helper,
+``_witness``, which regenerates the matroid through the given construction
+and diffs the independent families."""
 
 from __future__ import annotations
 

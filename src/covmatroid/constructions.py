@@ -10,6 +10,11 @@ capacities (k, 0)), and the min-cut table of a covering or transversal
 with few live blocks.  ``_placement_matroid`` places a set's elements one
 at a time: by augmenting paths for larger coverings and transversals, and
 by matroid partitioning for :func:`union_matroids`.
+
+Blocks, family members and k-rank blocks are read through
+``core._bits_on``, and a covering's blocks are held to
+``core._check_covering``: the ground-set and covering checks every module
+shares.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .core import (
     GroundSet,
     Record,
     SetFamily,
+    SizeLimitError,
     SubsetMask,
     ValidationError,
     _bits_on,
@@ -40,6 +46,8 @@ class CapacitatedCovering(Record):
 
     Blocks are kept in the given order (capacities are aligned by position);
     they must be nonempty, pairwise distinct, and union to the universe.
+    Both are copied into tuples before they are checked, so a caller's
+    lists cannot change the covering afterwards.
     """
 
     ground: GroundSet
@@ -49,6 +57,7 @@ class CapacitatedCovering(Record):
 
     def __init__(self, ground: GroundSet, blocks: tuple[SubsetMask, ...],
                  capacities: tuple[int, ...]):
+        blocks, capacities = tuple(blocks), tuple(capacities)
         if len(blocks) != len(capacities):
             raise ValidationError("capacities must align with blocks")
         if not blocks:
@@ -68,11 +77,7 @@ class CapacitatedCovering(Record):
         blocks: Iterable[Iterable[str]],
         capacities: Iterable[int],
     ) -> CapacitatedCovering:
-        return cls(
-            ground,
-            tuple(ground.subset(b) for b in blocks),
-            tuple(capacities),
-        )
+        return cls(ground, [ground.subset(b) for b in blocks], capacities)
 
     @property
     def m(self) -> int:
@@ -86,7 +91,7 @@ class CapacitatedCovering(Record):
         return SetFamily(self.ground, self.blocks)
 
     def with_capacities(self, capacities: Sequence[int]) -> CapacitatedCovering:
-        return CapacitatedCovering(self.ground, self.blocks, tuple(capacities))
+        return CapacitatedCovering(self.ground, self.blocks, capacities)
 
 
 class PartitionWitness(Record):
@@ -120,13 +125,15 @@ class PartitionWitness(Record):
 
 class IndexedFamily(Record):
     """An ordered family F_1..F_|J| of subsets; duplicates are permitted
-    because transversal independence counts indices, not distinct sets."""
+    because transversal independence counts indices, not distinct sets.
+    The members are copied into a tuple before they are checked."""
 
     ground: GroundSet
     members: tuple[SubsetMask, ...]
     _fields = ("ground", "members")
 
     def __init__(self, ground: GroundSet, members: tuple[SubsetMask, ...]):
+        members = tuple(members)
         for m in members:
             _bits_on(ground, m)
         super().__init__(ground, members)
@@ -135,7 +142,7 @@ class IndexedFamily(Record):
     def from_labels(
         cls, ground: GroundSet, members: Iterable[Iterable[str]]
     ) -> IndexedFamily:
-        return cls(ground, tuple(ground.subset(m) for m in members))
+        return cls(ground, [ground.subset(m) for m in members])
 
     def union_bits(self) -> int:
         u = 0
@@ -234,18 +241,25 @@ def _placement_matroid(ground: GroundSet, placer: Callable[[], Callable[[int], b
     """The handle that hands the elements of a set, in ascending order, by
     index to ``place`` of one fresh ``placer()``, which says whether each
     one joins those placed.  A set is independent iff none is missed (the
-    query stops at the first miss); its rank is its size less the misses."""
+    query stops at the first miss); its rank is its size less the misses.
+    A placement that overflows Python's stack raises
+    :class:`~covmatroid.core.SizeLimitError`."""
 
     def unplaced(bits: int, first_only: bool) -> int:
         place = placer()
         missed = 0
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            if not place(low.bit_length() - 1):
-                missed += 1
-                if first_only:
-                    break
+        try:
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                if not place(low.bit_length() - 1):
+                    missed += 1
+                    if first_only:
+                        break
+        except RecursionError:
+            # The matcher recurses once per block on an augmenting path.
+            raise SizeLimitError(
+                "an augmenting path is deeper than Python's recursion limit") from None
         return missed
 
     return Matroid(ground, lambda bits: not unplaced(bits, True),
@@ -465,9 +479,7 @@ def transversal_as_covering(f: IndexedFamily) -> CapacitatedCovering:
     if uncovered:
         blocks.append(uncovered)
         caps.append(0)
-    return CapacitatedCovering(
-        f.ground, tuple(SubsetMask(f.ground, b) for b in blocks), tuple(caps)
-    )
+    return CapacitatedCovering(f.ground, [f.ground.mask(b) for b in blocks], caps)
 
 
 def covering_as_transversal(c: CapacitatedCovering) -> IndexedFamily | None:

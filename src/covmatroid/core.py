@@ -3,6 +3,11 @@
 Elements are referenced internally by index 0..n-1; labels appear only at
 construction and printing boundaries.  Subsets are stored as integer
 bitmasks, so all set arithmetic is plain bit arithmetic.
+
+Two checks the other modules share live here: ``_bits_on`` reads the mask
+of a subset that must lie on a given ground set (a query's argument, a
+block or a family member), and ``_check_covering`` holds block masks to a
+covering's rule (nonempty, distinct, union the universe).
 """
 
 from __future__ import annotations

@@ -153,11 +153,10 @@ def parse_document(text: str) -> InputDocument:
             raise ParseError(str(exc), lineno) from None
 
     if kind == "indexed_family":
-        return InputDocument(kind, ground, IndexedFamily(ground, tuple(masks)))
+        return InputDocument(kind, ground, IndexedFamily(ground, masks))
     # surface covering/partition structural problems as parse-stage errors
     try:
-        presentation = CapacitatedCovering(
-            ground, tuple(masks), tuple(k for _, _, k in raw_blocks))
+        presentation = CapacitatedCovering(ground, masks, [k for _, _, k in raw_blocks])
         if kind == "partition":
             presentation = PartitionWitness(presentation)
     except ValidationError as exc:
@@ -166,7 +165,8 @@ def parse_document(text: str) -> InputDocument:
 
 
 def parse_file(path: str) -> InputDocument:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark, which some editors write first.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError:

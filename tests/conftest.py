@@ -57,3 +57,14 @@ def random_covering(rng: random.Random, n: int, m: int, kmax: int = 3,
     return CapacitatedCovering(
         ground, tuple(ground.mask(b) for b in blocks), caps
     )
+
+
+def chain_covering(n: int = 1200) -> CapacitatedCovering:
+    """n blocks C_1..C_n of capacity 1, with y_i in C_i and C_(i+1) and z in
+    C_1 only.  Placing z, the last element, moves every y_i along one
+    augmenting path, deeper than Python's recursion limit."""
+    ground = GroundSet([f"y{i}" for i in range(1, n)] + ["z"])
+    blocks = ([ground.mask(1 << (n - 1) | 1)]
+              + [ground.mask(0b11 << i) for i in range(n - 2)]
+              + [ground.mask(1 << (n - 2))])
+    return CapacitatedCovering(ground, blocks, [1] * n)

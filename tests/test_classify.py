@@ -3,6 +3,7 @@ import random
 import pytest
 
 from covmatroid import (
+    ClassificationReport,
     GroundSet,
     IndexedFamily,
     Matroid,
@@ -42,6 +43,13 @@ def example2_matroid():
     return covering_matroid(
         CapacitatedCovering.from_labels(g, [["a", "b"], ["b", "c"]], [1, 1])
     )
+
+
+def test_double_circuit_report_must_be_2_circuit_and_self_dual():
+    for two_circuit, self_dual in ((False, True), (True, False)):
+        with pytest.raises(VerificationError, match="double-circuit matroid"):
+            ClassificationReport(two_circuit, False, True, self_dual, ())
+    assert ClassificationReport(True, False, True, True, ()).is_double_circuit
 
 
 class TestIs2Circuit:

@@ -11,6 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from covmatroid import Matroid, SetFamily
 from covmatroid.cli import COMMANDS, _read_plain, build_parser, main
+from covmatroid.io import render_covering_document
+
+from conftest import chain_covering
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -276,6 +279,65 @@ class TestExitCodes:
     def test_verify_mismatch_is_4(self):
         code, _ = run("approx", fx("example1.txt"), "--set", "a", "--matroidal")
         assert code == 4
+
+    @pytest.mark.parametrize("argv, error", [
+        (["rank", fx("example1.txt"), "--set", "a,b", "--verify"],
+         "rank mismatch at X={a,b}"),
+        (["closure", fx("example1.txt"), "--set", "a", "--verify"],
+         "closure mismatch at X={a}"),
+        (["dual", fx("example1.txt"), "--verify"],
+         "dual bases mismatch against base-complement family"),
+    ])
+    def test_verify_mismatch_exits_4_with_empty_stdout(
+            self, monkeypatch, capsys, argv, error):
+        # An oracle that gives every set rank 0 and finds no bases disagrees
+        # with the rank of {a,b}, the closure of {a} and the dual bases.
+        from covmatroid import oracle
+
+        monkeypatch.setattr(oracle, "bf_rank", lambda m, x: 0)
+        monkeypatch.setattr(oracle, "bf_bases", lambda indep, n: frozenset())
+        capsys.readouterr()
+        assert run(*argv) == (4, "")
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_neighborhood_matroidal_disagree_prints_then_exits_4(
+            self, monkeypatch, capsys):
+        from covmatroid import rough
+
+        monkeypatch.setattr(rough, "matroidal_neighborhood",
+                            lambda ms, x: ms.ground.full())
+        capsys.readouterr()
+        assert run("neighborhood", fx("example1.txt"), "--element", "b",
+                   "--matroidal") == (4, "N(b) = {b}\nmatroidal N(b) = {a,b,c} DISAGREE\n")
+        assert capsys.readouterr().err == (
+            "error: matroidal neighborhood mismatch at x=b\n")
+
+    @pytest.mark.parametrize("kind", ["covering", "indexed_family"])
+    @pytest.mark.parametrize("command", ["rank", "closure"])
+    def test_deep_augmenting_path_is_2_with_empty_stdout(
+            self, tmp_path, capsys, kind, command):
+        # An indexed family ignores the rendered capacities, all 1.
+        chain = chain_covering()
+        path = tmp_path / "chain.txt"
+        path.write_text(render_covering_document(chain).replace(
+            "kind: covering", f"kind: {kind}"))
+        capsys.readouterr()
+        assert run(command, str(path), "--set", ",".join(chain.ground.labels)) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: an augmenting path is deeper than Python's recursion limit\n")
+
+    @pytest.mark.parametrize("name", ["example1.txt", "family3.txt", "pairs.txt"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + Path(FIX, name).read_bytes())
+        options = {"--set": ["--set", "a,b"], "--element": ["--element", "a"],
+                   "--matroidal": ["--matroidal"]}
+        for command, (_, _, takes) in COMMANDS.items():
+            argv = [tok for opt in takes for tok in options[opt]]
+            for extra in ((), ("--verify",)):
+                assert (run(command, str(path), *argv, *extra)
+                        == run(command, fx(name), *argv, *extra)), (command, extra)
+        assert run("rank", str(path), "--set", "a")[0] == 0
 
     def test_non_utf8_input_is_1_with_empty_stdout(self, tmp_path):
         path = tmp_path / "latin1.txt"

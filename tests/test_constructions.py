@@ -13,6 +13,7 @@ from covmatroid import (
     Matroid,
     PartitionWitness,
     SetFamily,
+    SizeLimitError,
     ValidationError,
     check_independence_axioms,
     covering_as_transversal,
@@ -28,7 +29,7 @@ from covmatroid import (
     transversal_matroid,
     union_matroids,
 )
-from conftest import random_covering
+from conftest import chain_covering, random_covering
 
 
 def fam(ground, *sets):
@@ -63,6 +64,35 @@ class TestCapacitatedCovering:
         g = GroundSet("ab")
         with pytest.raises(ValidationError):
             CapacitatedCovering.from_labels(g, [["a", "b"], ["b", "a"]], [1, 1])
+
+    def test_rejects_no_blocks(self):
+        with pytest.raises(ValidationError, match="at least one block"):
+            CapacitatedCovering(GroundSet("ab"), (), ())
+
+    def test_rejects_negative_capacities(self):
+        g = GroundSet("ab")
+        with pytest.raises(ValidationError, match="capacities must be nonnegative"):
+            CapacitatedCovering(g, (g.subset("a"), g.subset("b")), (1, -1))
+
+    def test_rejects_a_block_of_another_ground_set(self):
+        # Each block's mask is abc's full mask, so only its ground set is wrong.
+        g = GroundSet("abc")
+        for labels in ("xyz", "abcd"):
+            block = GroundSet(labels).subset(labels[:3])
+            with pytest.raises(ValidationError, match="another ground set"):
+                CapacitatedCovering(g, (block,), (1,))
+
+    def test_keeps_its_own_copy_of_the_callers_lists(self):
+        g = GroundSet("abc")
+        blocks, caps = [g.subset("ab"), g.subset("bc")], [1, 1]
+        c = CapacitatedCovering(g, blocks, caps)
+        caps[0] = -5
+        blocks[1] = g.subset("a")
+        assert c.capacities == (1, 1)
+        assert c.blocks == (g.subset("ab"), g.subset("bc"))
+        assert covering_matroid(c).rank(g.full()) == 2
+        same = CapacitatedCovering(g, (g.subset("ab"), g.subset("bc")), (1, 1))
+        assert c == same and hash(c) == hash(same)
 
     def test_rejects_misaligned_capacities(self):
         g = GroundSet("ab")
@@ -108,6 +138,10 @@ class TestKRankMatroid:
             with pytest.raises(ValidationError, match="ground set"):
                 k_rank_matroid(abc, block, 1)
 
+    def test_negative_k_rejected(self, abc):
+        with pytest.raises(ValidationError, match="k must be nonnegative"):
+            k_rank_matroid(abc, abc.subset("abc"), -1)
+
     def test_non_integer_k_rejected(self, abc):
         for bad in (1.5, True):
             with pytest.raises(ValidationError, match="k must be an integer"):
@@ -132,6 +166,14 @@ class TestPartitionMatroid:
 
 
 class TestUnionMatroids:
+    def test_refuses_no_matroids_and_mixed_ground_sets(self, abc):
+        with pytest.raises(ValidationError, match="union of zero matroids"):
+            union_matroids([])
+        xyz = GroundSet("xyz")
+        with pytest.raises(ValidationError, match="share a ground set"):
+            union_matroids([k_rank_matroid(abc, abc.subset("ab"), 1),
+                            k_rank_matroid(xyz, xyz.subset("xy"), 1)])
+
     def test_union_of_one_matroid(self, abc):
         m = k_rank_matroid(abc, abc.subset("ab"), 1)
         u = union_matroids([m])
@@ -319,6 +361,38 @@ class TestNaiveCoveringFamily:
     def test_vacuous_capacities_give_powerset(self, abc):
         cov = CapacitatedCovering.from_labels(abc, [["a", "b", "c"]], [3])
         assert len(naive_covering_family(cov)) == 8
+
+
+class TestIndexedFamily:
+    def test_rejects_a_member_of_another_ground_set(self):
+        g = GroundSet("abc")
+        with pytest.raises(ValidationError, match="another ground set"):
+            IndexedFamily(g, (g.subset("a"), GroundSet("xyz").subset("x")))
+
+    def test_keeps_its_own_copy_of_the_callers_list(self):
+        g = GroundSet("abc")
+        members = [g.subset("ab")]
+        f = IndexedFamily(g, members)
+        members.append(GroundSet("xyz").subset("x"))
+        assert f.members == (g.subset("ab"),)
+        same = IndexedFamily(g, (g.subset("ab"),))
+        assert f == same and hash(f) == hash(same)
+
+
+class TestDeepAugmentingPath:
+    def test_is_a_size_limit(self):
+        c = chain_covering()
+        g = c.ground
+        handles = (covering_matroid(c),
+                   transversal_matroid(IndexedFamily(g, c.blocks)))
+        for m in handles:
+            assert m.rank(g.full() - g.singleton("z")) == g.n - 1
+            for query in (m.independent, m.rank):
+                with pytest.raises(SizeLimitError, match="recursion limit"):
+                    query(g.full())
+            # The closure of U - z meets the path only at its last rank call.
+            with pytest.raises(SizeLimitError, match="recursion limit"):
+                m.closure(g.full() - g.singleton("z"))
 
 
 class TestTransversal:

@@ -24,6 +24,12 @@ class TestGroundSet:
         with pytest.raises(ValidationError):
             GroundSet([])
 
+    def test_singleton(self):
+        g = GroundSet("abc")
+        assert g.singleton("b") == g.subset("b")
+        with pytest.raises(ValidationError, match="unknown element 'z'"):
+            g.singleton("z")
+
     def test_index_label_bijection(self):
         g = GroundSet("abc")
         assert [g.index(lab) for lab in g.labels] == [0, 1, 2]
@@ -46,6 +52,22 @@ class TestSubsetMask:
         g = GroundSet("ab")
         with pytest.raises(ValidationError):
             g.mask(0b100)
+
+    def test_contains(self):
+        x = GroundSet("abc").subset("ac")
+        assert [x.contains(lab) for lab in "abc"] == [True, False, True]
+        with pytest.raises(ValidationError, match="unknown element 'z'"):
+            x.contains("z")
+
+    def test_truth_is_read_from_the_mask(self, monkeypatch):
+        # bool() never counts the elements through __len__.
+        def refused(self):
+            raise AssertionError("bool() counted the elements")
+
+        g = GroundSet("abc")
+        monkeypatch.setattr(SubsetMask, "__len__", refused)
+        assert not g.empty()
+        assert g.subset("b") and g.full()
 
     def test_repr(self):
         g = GroundSet("abc")

@@ -14,6 +14,7 @@ from covmatroid import (
     CapacitatedCovering,
     GroundSet,
     IndexedFamily,
+    ValidationError,
     transversal_as_covering,
 )
 from covmatroid.cli import COMMANDS, main
@@ -235,3 +236,24 @@ def test_convert_of_a_family_parses_back(labels, data):
     code, out = _convert(text)
     assert code == 0
     assert parse_document(out).covering() == transversal_as_covering(doc.family())
+
+
+def test_a_document_gives_only_the_presentation_of_its_kind():
+    doc = parse_document("format: 1\nkind: covering\nuniverse: a b\nblock: a b\n")
+    with pytest.raises(ValidationError, match="'covering' does not describe a partition"):
+        doc.partition()
+    with pytest.raises(ValidationError,
+                       match="'covering' does not describe an indexed family"):
+        doc.family()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("format: 1\nkind: covering\nuniverse: ,\nblock: a\n",
+     "line 3: universe must list at least one element"),
+    ("format: 1\nuniverse: a\nblock: a\n", "missing 'kind' line"),
+    ("format: 1\nkind: covering\nblock: a\n", "missing 'universe' line"),
+])
+def test_a_header_without_a_kind_or_elements_is_a_parse_error(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_document(text)
+    assert str(caught.value) == message

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covmatroid import constructions
+from covmatroid import matroid as matroid_module
 from covmatroid import (
     GroundSet,
     IndexedFamily,
@@ -62,6 +63,12 @@ class TestAxiomCheck:
         i1, i2 = cert.witnesses
         assert repr(i1) == "{b}" and repr(i2) == "{a,c}"
         assert str(cert) == "violates I3: I1={b}, I2={a,c}"
+
+    def test_i1_and_i2_verdicts_print_their_witnesses(self):
+        g = GroundSet("abc")
+        assert str(check_independence_axioms(fam(g, "a"))) == "violates I1: ∅ ∉ I"
+        assert (str(check_independence_axioms(fam(g, "", "a", "ab")))
+                == "violates I2: I={a,b}, I'={b}")
 
     def test_rank0_family_is_a_matroid(self):
         g = GroundSet("abc")
@@ -545,6 +552,10 @@ class TestDual:
             assert m.rank_hint(b) == m.greedy_rank_bits(b)
 
 
+def _refused(*args):
+    raise AssertionError("are_isomorphic went past a cheaper invariant")
+
+
 class TestIsomorphism:
     def test_self_isomorphic_with_identity(self):
         m = example2_matroid()
@@ -563,6 +574,43 @@ class TestIsomorphism:
     def test_different_families_not_isomorphic(self):
         ok, witness = are_isomorphic(example2_matroid(), rank0_matroid())
         assert not ok and witness is None
+
+    def test_different_sizes_are_told_apart_without_a_walk(self, monkeypatch):
+        monkeypatch.setattr(Matroid, "independent_family", _refused)
+        assert are_isomorphic(free_matroid(2), free_matroid(3)) == (False, None)
+
+    def test_different_ranks_are_told_apart_before_the_circuits(self, monkeypatch):
+        # U(1,3), and a free pair with a loop: 4 independent sets each.
+        g = GroundSet("abc")
+        m1 = Matroid(g, lambda bits: bits.bit_count() <= 1)
+        m2 = Matroid(g, lambda bits: not bits & 0b100)
+        monkeypatch.setattr(Matroid, "circuits", _refused)
+        assert are_isomorphic(m1, m2) == (False, None)
+
+    def test_different_circuit_sizes_are_told_apart_before_the_search(
+            self, monkeypatch):
+        # 22 independent sets and rank 3 each; circuit sizes [3,3,3,3] and
+        # [2,4,4].
+        g = GroundSet("abcde")
+        m1 = covering_matroid(CapacitatedCovering.from_labels(
+            g, ["abde", "c", "acde"], [1, 1, 1]))
+        m2 = covering_matroid(CapacitatedCovering.from_labels(g, ["bde", "acd"], [2, 1]))
+        assert len(m1.independent_family()) == len(m2.independent_family()) == 22
+        assert m1.rank(g.full()) == m2.rank(g.full()) == 3
+        monkeypatch.setattr(matroid_module, "permutations", _refused)
+        assert are_isomorphic(m1, m2) == (False, None)
+
+    def test_equal_invariants_and_no_bijection(self):
+        # Two transversal matroids with the same size, rank and circuit
+        # sizes; only the search over bijections tells them apart.
+        g = GroundSet("abcdef")
+        m1 = transversal_matroid(IndexedFamily.from_labels(g, ["adf", "bce", "abef"]))
+        m2 = transversal_matroid(IndexedFamily.from_labels(g, ["cdf", "abc", "abef"]))
+        assert len(m1.independent_family()) == len(m2.independent_family()) == 40
+        assert m1.rank(g.full()) == m2.rank(g.full()) == 3
+        assert (sorted(len(c) for c in m1.circuits())
+                == sorted(len(c) for c in m2.circuits()))
+        assert are_isomorphic(m1, m2) == (False, None)
 
     def test_size_limit(self):
         m = free_matroid(9)

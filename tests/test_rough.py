@@ -48,6 +48,28 @@ class TestApproximationSpace:
                 abc, SetFamily.from_labels(abc, [[], ["a", "b", "c"]])
             )
 
+    def test_rejects_a_family_of_another_ground_set(self, abc):
+        # xyz's block would read as abc's universe.
+        xyz = GroundSet("xyz")
+        with pytest.raises(ValidationError, match="space's ground set"):
+            ApproximationSpace(abc, SetFamily.from_labels(xyz, ["xyz"]))
+
+    def test_matroidal_space_builds_its_space_once_when_built(
+            self, monkeypatch, paper_covering):
+        built = []
+        honest = ApproximationSpace.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            honest(self, *args)
+
+        monkeypatch.setattr(ApproximationSpace, "__init__", counting)
+        ms = MatroidalSpace(paper_covering)
+        assert len(built) == 1
+        assert ms.space() is ms.space()
+        assert ms.space().covering == paper_covering.block_family()
+        assert len(built) == 1
+
 
 class TestNeighborhood:
     def test_shared_element(self, paper_space):
