@@ -11,6 +11,16 @@ with few live blocks.  ``_placement_matroid`` places a set's elements one
 at a time: by augmenting paths for larger coverings and transversals, and
 by matroid partitioning for :func:`union_matroids`.
 
+Each handle built from (block, capacity) pairs is the union of the k-rank
+matroids M(K, k) of its pairs: the matcher's handles on both paths
+(coverings, transversal families, slices), and partition,
+partition-circuit and k-rank matroids.  Each gets ``_union_bitmap`` over
+its pairs as the private factory from which its walk reads the
+independent sets, circuits and bases as one powerset bitmap of 2^n bits
+(see :class:`~covmatroid.matroid.Matroid`), with no oracle call; so
+``_CUT_CAP`` picks only how queries are answered.  A union of arbitrary
+matroids has no pairs and keeps the walk by extension.
+
 Blocks, family members and k-rank blocks are read through
 ``core._bits_on``, and a covering's blocks are held to
 ``core._check_covering``: the ground-set and covering checks every module
@@ -31,6 +41,7 @@ from .core import (
     ValidationError,
     _bits_on,
     _check_covering,
+    _indices,
     check_enum_cap,
 )
 from .matroid import Matroid
@@ -181,49 +192,33 @@ def _augmenter(caps: Sequence[int], adj: Sequence[Sequence[int]]) -> Callable[[i
     return place
 
 
-def _cut_hook(cuts: Sequence[tuple[int, int]], n: int) -> Callable[[int, int], int]:
-    """The walk's extension hook from (elements, capacity) cuts, each of
-    which ``bits`` meets within capacity: a candidate e extends it iff no
-    cut holding e is full.  For I ≠ ∅ only the cuts holding max I need a
-    count: the walk hands in only candidates e with (I - max I) + e
-    independent, so no cut full on I - max I holds one, and a cut without
-    max I is as full on I as on I - max I.  So the hook reads slot
-    ``bits.bit_length()`` of an index built here, once per walk: slot 0
-    holds every cut (for I = ∅), slot e + 1 the cuts holding e that can be
-    full on a set with maximum e and meet its candidates.  Those are the
-    cuts that also hold an element above e (the candidates lie above max I)
-    and hold at least ``capsum`` elements up to e (I has no others).  Each
-    slot lists its cuts in ascending capacity, in table order among equal
-    capacities, and the hook stops at the first capacity above |I|: no
-    larger cut can be full on I."""
-    by_top = [sorted(cuts, key=lambda cut: cut[1])] + [[] for _ in range(n)]
-    for cut in by_top[0]:
-        only, capsum = cut
-        held = 0
-        rest = only
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            held += 1
-            if rest and held >= capsum:
-                by_top[low.bit_length()].append(cut)
-
-    def extend(bits: int, cand: int) -> int:
-        k = bits.bit_count()
-        for only, capsum in by_top[bits.bit_length()]:
-            if capsum > k:
-                break
-            if only & cand and (bits & only).bit_count() == capsum:
-                cand &= ~only
-        return cand
-
-    return extend
+def _union_bitmap(pairs: Sequence[tuple[int, int]], lacks: Sequence[int]) -> int:
+    """The powerset bitmap (see :class:`~covmatroid.matroid.Matroid`) of the
+    union of the k-rank matroids M(K, k) of the (block, capacity)
+    ``pairs``: the sets X_1 ∪ … ∪ X_m with X_i ⊆ K_i and |X_i| ≤ k_i.
+    From {∅}, block i runs min(k_i, |K_i|) rounds, each adding at most one
+    element of K_i to every member: (B & lacks[e]) << 2^(n-1-e) moves each
+    member without e to the member with e, every term from the round's
+    start."""
+    n = len(lacks)
+    family = 1
+    for bits, k in pairs:
+        steps = [(lacks[e], 1 << (n - 1 - e)) for e in _indices(bits)]
+        for _ in range(min(k, len(steps))):
+            grown = family
+            for lack, shift in steps:
+                grown |= (family & lack) << shift
+            family = grown
+    return family
 
 
-def _cut_matroid(ground: GroundSet, cuts: Sequence[tuple[int, int]],
-                 rank: Callable[[int], int], provenance: str) -> Matroid:
+def _cut_matroid(ground: GroundSet, pairs: Sequence[tuple[int, int]],
+                 cuts: Sequence[tuple[int, int]], rank: Callable[[int], int],
+                 provenance: str) -> Matroid:
     """The handle whose independent sets meet every (elements, capacity)
-    cut within capacity; the cuts also fill the walk's extension hook."""
+    cut within capacity, which must be the union of the k-rank matroids of
+    the (block, capacity) ``pairs``; those fill the walk's bitmap
+    factory."""
 
     def indep(bits: int) -> bool:
         for only, capsum in cuts:
@@ -232,7 +227,7 @@ def _cut_matroid(ground: GroundSet, cuts: Sequence[tuple[int, int]],
         return True
 
     m = Matroid(ground, indep, rank_hint=rank, provenance=provenance)
-    m._extend = partial(_cut_hook, cuts, ground.n)
+    m._bitmap = partial(_union_bitmap, pairs)
     return m
 
 
@@ -286,9 +281,10 @@ def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
     * more: a placement handle, by augmenting paths from an empty
       assignment on every query.
 
-    Neither path keeps per-handle state that grows with queries.
+    Neither path keeps per-handle state that grows with queries.  Both
+    get the walk's bitmap factory over the live (block, capacity) pairs.
     """
-    live = [(bb, k) for bb, k in zip(block_bits, caps) if k > 0]
+    live = tuple((bb, k) for bb, k in zip(block_bits, caps) if k > 0)
     if len(live) <= _CUT_CAP:
         # Union and total capacity of each subset of the live blocks.
         unions = [0]
@@ -313,13 +309,15 @@ def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
                     deficiency = d
             return bits.bit_count() - deficiency
 
-        return _cut_matroid(ground, cuts, rank, provenance)
+        return _cut_matroid(ground, live, cuts, rank, provenance)
     caps = tuple(k for _, k in live)
     adj = tuple(
         tuple(i for i, (bb, _) in enumerate(live) if bb >> e & 1)
         for e in range(ground.n)
     )
-    return _placement_matroid(ground, partial(_augmenter, caps, adj), provenance)
+    m = _placement_matroid(ground, partial(_augmenter, caps, adj), provenance)
+    m._bitmap = partial(_union_bitmap, live)
+    return m
 
 
 def _partition_rank(pairs: Sequence[tuple[int, int]], bits: int) -> int:
@@ -343,13 +341,13 @@ def k_rank_matroid(ground: GroundSet, block: SubsetMask, k: int) -> Matroid:
     rest = ground.full_mask & ~bits
     # The cut of loops U - K adds nothing to the rank, so only K is summed.
     cuts = pairs + ((rest, 0),) if rest else pairs
-    return _cut_matroid(ground, cuts, partial(_partition_rank, pairs), "k-rank")
+    return _cut_matroid(ground, pairs, cuts, partial(_partition_rank, pairs), "k-rank")
 
 
 def partition_matroid(p: PartitionWitness) -> Matroid:
     """Independent sets meet each partition block in at most its capacity."""
     pairs = tuple((b.bits, k) for b, k in zip(p.blocks, p.capacities))
-    return _cut_matroid(p.covering.ground, pairs,
+    return _cut_matroid(p.covering.ground, pairs, pairs,
                         partial(_partition_rank, pairs), "partition")
 
 
@@ -497,7 +495,7 @@ def partition_circuit_matroid(p: PartitionWitness) -> Matroid:
     independent sets meet each block P in at most |P| - 1 elements.
     Stated capacities on the witness are ignored."""
     pairs = tuple((b.bits, b.cardinality - 1) for b in p.blocks)
-    return _cut_matroid(p.covering.ground, pairs,
+    return _cut_matroid(p.covering.ground, pairs, pairs,
                         partial(_partition_rank, pairs), "partition-circuit")
 
 

@@ -1,15 +1,18 @@
 """Generic matroid over an independence oracle.
 
 Rank, closure, circuits, bases and the dual are all derived from the
-oracle.  Greedy rank is correct only because the oracle satisfies the
-independence axioms; handles are therefore produced by the construction
-functions or by :func:`check_independence_axioms`-vetted families.
+oracle, except that a handle built from (block, capacity) pairs reads its
+independent sets, circuits and bases off a powerset bitmap.  Greedy rank
+is correct only because the oracle satisfies the independence axioms;
+handles are therefore produced by the construction functions or by
+:func:`check_independence_axioms`-vetted families.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 
 from .core import (
     GroundSet,
@@ -62,6 +65,95 @@ class AxiomCertificate(Record):
         return f"violates I3: I1={i1}, I2={i2}"
 
 
+# -- powerset bitmaps ---------------------------------------------------------
+#
+# A powerset bitmap of an n-element ground set is an integer of 2^n bits,
+# one per subset: bit p stands for the set whose mask is the n-bit reversal
+# of p, so element e is bit n - 1 - e of p and adding e to a set that lacks
+# it adds 2^(n-1-e) to p.  Within one size, canonical order (smallest
+# differing element first) is then descending p.
+
+#: Maps the digits of a binary string to the 0/1 bytes ``compress`` reads.
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _lacks(n: int) -> list[int]:
+    """Entry e is the powerset bitmap of the sets that do not hold element
+    e: runs of 2^(n-1-e) ones and as many zeros, built by doubling one
+    entry at a time, so building them holds little more than the result
+    (2^n / 8 bytes an entry)."""
+    size = 1 << n
+    lacks = []
+    for e in range(n):
+        run = 1 << (n - 1 - e)
+        bits = (1 << run) - 1
+        width = run << 1
+        while width < size:
+            bits |= bits << width
+            width <<= 1
+        lacks.append(bits)
+    return lacks
+
+
+def _flipped_reversals(k: int) -> list[int]:
+    """Entry j is the complement, in k bits, of the k-bit reversal of j."""
+    table = [0]
+    for _ in range(k):
+        table = [t << 1 | 1 for t in table] + [t << 1 for t in table]
+    return table
+
+
+def _decode(bitmap: int, n: int, low: list[int], high: list[int]) -> list[int]:
+    """The masks of a powerset bitmap's sets in canonical order.  Its
+    binary string holds bit p = 2^n - 1 - j at position j, so it lists the
+    sets of each size in canonical order; the mask at j is the complement of
+    the n-bit reversal of j, read as ``high[j // w] | low[j % w]`` from two
+    tables of about 2^(n/2) entries, w = ``len(low)``.  A stable sort by
+    size then gives canonical order."""
+    flags = format(bitmap, f"0{1 << n}b").encode().translate(_DIGITS)
+    width = len(low)
+    masks: list[int] = []
+    j = flags.find(1)
+    while j >= 0:
+        start = j - j % width
+        end = start + width
+        masks += map(high[start // width].__or__, compress(low, flags[start:end]))
+        j = flags.find(1, end)
+    masks.sort(key=int.bit_count)
+    return masks
+
+
+def _family_bitmaps(n: int, family_bitmap: Callable[[list[int]], int]) -> tuple[int, int]:
+    """The powerset bitmaps of the independent sets, B =
+    ``family_bitmap(_lacks(n))``, and of the circuits.  A set S is a
+    circuit iff S is not in B and, for each element e of S, S - e is:
+    (B & lacks[e]) << 2^(n-1-e) is the bitmap of the sets T + e with T in
+    B.  The ``lacks`` bitmaps (2^n / 8 bytes each) are dropped on return."""
+    lacks = _lacks(n)
+    indep = family_bitmap(lacks)
+    circuits = ((1 << (1 << n)) - 1) ^ indep
+    for e, lack in enumerate(lacks):
+        circuits &= lack | (indep & lack) << (1 << (n - 1 - e))
+    return indep, circuits
+
+
+def _bitmap_families(ground: GroundSet, family_bitmap: Callable[[list[int]], int]
+                     ) -> tuple[SetFamily, SetFamily, SetFamily]:
+    """The independent, circuit and base families in canonical order, read
+    off the bitmaps of :func:`_family_bitmaps`.  The bases are the last
+    non-empty level of the independents."""
+    n = ground.n
+    indep, circuits = _family_bitmaps(n, family_bitmap)
+    low_bits = min(n, (n + 3) // 2)
+    low = [t << (n - low_bits) for t in _flipped_reversals(low_bits)]
+    high = _flipped_reversals(n - low_bits)
+    independents = _decode(indep, n, low, high)
+    top = bisect_left(independents, independents[-1].bit_count(), key=int.bit_count)
+    return (SetFamily._canonical(ground, independents),
+            SetFamily._canonical(ground, _decode(circuits, n, low, high)),
+            SetFamily._canonical(ground, independents[top:]))
+
+
 class Matroid:
     """A ground set plus an independence oracle over index bitmasks.
 
@@ -70,27 +162,32 @@ class Matroid:
     ``repr`` and tracing only.
 
     Precondition: the oracle is hereditary (I2: every subset of an
-    independent set is independent).  The enumerations extend independent
-    sets only, so on an oracle that breaks I2 they miss sets; every handle
+    independent set is independent).  The level walk extends independent
+    sets only, so on an oracle that breaks I2 it misses sets; every handle
     the package builds satisfies it.
 
     A handle is immutable (its oracle is fixed at construction), so its
     independent, circuit and base families come from one walk on first use
     and are kept for its lifetime: near the fixed enumeration cap, n ≤
     ``DEFAULT_ENUM_CAP`` = 22, which the walk checks first, millions of
-    masks.  The walk asks an extension hook ``extend(I, cand)`` for the
-    candidates e in ``cand`` with I + e independent, where I is independent
-    and ``cand`` holds only elements e above max I with (I - max I) + e
-    independent (any elements for I = ∅).  By default the hook asks
-    ``indep_bits`` per candidate; the package's constructions instead fill
-    the private ``_extend``, a factory the walk calls once for a hook that
-    may rely on that precondition (the cut hook indexes its cuts by element
-    there, so handles that never walk never build the index).  A warm
-    :meth:`bases` reads the walk; dual bases are the complements of the
-    primal's.
+    masks.  How the walk runs is fixed by how the handle was built:
+
+    * a handle that ``constructions`` builds from (block, capacity) pairs
+      fills the private ``_bitmap``: a factory that takes the ``_lacks``
+      bitmaps of the ground set and returns the independent family as a
+      *powerset bitmap*, an integer of 2^n bits whose bit p stands for the
+      set whose mask is the n-bit reversal of p.  The walk reads the
+      independent sets, circuits and bases off that bitmap and asks no
+      oracle (see :func:`_bitmap_families`);
+    * every other handle (duals, unions, and handles built from an oracle
+      alone) walks the levels by extension, one ``indep_bits`` call per
+      candidate (see :meth:`_scan_walk`).
+
+    A warm :meth:`bases` reads the walk; dual bases are the complements of
+    the primal's.
     """
 
-    __slots__ = ("ground", "indep_bits", "rank_hint", "provenance", "_extend",
+    __slots__ = ("ground", "indep_bits", "rank_hint", "provenance", "_bitmap",
                  "_dual_of", "_families")
 
     def __init__(
@@ -106,7 +203,7 @@ class Matroid:
         self.indep_bits = indep_bits
         self.rank_hint = rank_hint
         self.provenance = provenance
-        self._extend: Callable[[], Callable[[int, int], int]] | None = None
+        self._bitmap: Callable[[list[int]], int] | None = None
         self._dual_of: Matroid | None = None
         self._families: tuple[SetFamily, SetFamily, SetFamily] | None = None
 
@@ -154,7 +251,8 @@ class Matroid:
     # -- enumerations -----------------------------------------------------
 
     def _scan_extensions(self, bits: int, cand: int) -> int:
-        """The default extension hook: one oracle call per candidate."""
+        """The candidates e in ``cand`` with ``bits`` + e independent: one
+        oracle call per candidate."""
         indep = self.indep_bits
         out = 0
         while cand:
@@ -164,13 +262,13 @@ class Matroid:
                 out |= e
         return out
 
-    def _walk(self) -> tuple[SetFamily, SetFamily, SetFamily]:
+    def _scan_walk(self) -> tuple[SetFamily, SetFamily, SetFamily]:
         """The independent, circuit and base families in canonical order,
-        from one level-wise walk on first use.  Each member I of level k
-        carries cand(I), the elements above max I that its parent's hook
-        accepted (all of U for ∅); level k+1 extends each I, in order, by
-        each element e the hook accepts, which keeps lex order, and I + e
-        carries the accepted elements above e.  By I2 no other element
+        from one level-wise walk by extension.  Each member I of level k
+        carries cand(I), the elements above max I that extended its parent
+        (all of U for ∅); level k+1 extends each I, in order, by each
+        candidate e with I + e independent, which keeps lex order, and
+        I + e carries the accepted elements above e.  By I2 no other element
         extends I, and a dependent I + e with e outside cand(I) contains the
         dependent (I - max I) + e, so it is no circuit.  The rest of cand(I)
         are the dependent extensions; one is a circuit iff dropping any one
@@ -180,51 +278,58 @@ class Matroid:
         the dependent extensions are kept as the walk meets them and tested
         against the finished family, in which a k-set is a member iff it is
         in level k.  The last non-empty level holds the bases."""
+        independents = [0]
+        found = independents.append
+        dependent: list[tuple[int, int]] = []
+        top = 0  # where the last non-empty level starts in independents
+        members, cands = [0], [self.ground.full_mask]
+        while members:
+            start = len(independents)
+            nxt_members: list[int] = []
+            nxt_cands: list[int] = []
+            for i, cand in zip(members, cands):
+                ext = self._scan_extensions(i, cand)
+                if ext != cand:
+                    dependent.append((i, cand ^ ext))
+                while ext:
+                    e = ext & -ext
+                    ext ^= e
+                    found(i | e)
+                    if ext:
+                        nxt_members.append(i | e)
+                        nxt_cands.append(ext)
+            if len(independents) > start:
+                top = start
+            members, cands = nxt_members, nxt_cands
+        family = SetFamily._canonical(self.ground, independents)
+        indep = family.bitset()
+        circuits = []
+        for i, dep in dependent:
+            while dep:
+                e = dep & -dep
+                dep ^= e
+                c = i | e
+                rest = i
+                while rest:
+                    low = rest & -rest
+                    if c ^ low not in indep:
+                        break
+                    rest ^= low
+                else:
+                    circuits.append(c)
+        return (family, SetFamily._canonical(self.ground, circuits),
+                SetFamily._canonical(self.ground, independents[top:]))
+
+    def _walk(self) -> tuple[SetFamily, SetFamily, SetFamily]:
+        """The independent, circuit and base families in canonical order,
+        from the handle's bitmap factory or else its level walk, on first
+        use."""
         if self._families is None:
             check_enum_cap(self.ground.n)
-            extend = self._extend() if self._extend else self._scan_extensions
-            independents = [0]
-            found = independents.append
-            dependent: list[tuple[int, int]] = []
-            top = 0  # where the last non-empty level starts in independents
-            members, cands = [0], [self.ground.full_mask]
-            while members:
-                start = len(independents)
-                nxt_members: list[int] = []
-                nxt_cands: list[int] = []
-                for i, cand in zip(members, cands):
-                    ext = extend(i, cand)
-                    if ext != cand:
-                        dependent.append((i, cand ^ ext))
-                    while ext:
-                        e = ext & -ext
-                        ext ^= e
-                        found(i | e)
-                        if ext:
-                            nxt_members.append(i | e)
-                            nxt_cands.append(ext)
-                if len(independents) > start:
-                    top = start
-                members, cands = nxt_members, nxt_cands
-            family = SetFamily._canonical(self.ground, independents)
-            indep = family.bitset()
-            circuits = []
-            for i, dep in dependent:
-                while dep:
-                    e = dep & -dep
-                    dep ^= e
-                    c = i | e
-                    rest = i
-                    while rest:
-                        low = rest & -rest
-                        if c ^ low not in indep:
-                            break
-                        rest ^= low
-                    else:
-                        circuits.append(c)
-            self._families = (family,
-                              SetFamily._canonical(self.ground, circuits),
-                              SetFamily._canonical(self.ground, independents[top:]))
+            if self._bitmap is None:
+                self._families = self._scan_walk()
+            else:
+                self._families = _bitmap_families(self.ground, self._bitmap)
         return self._families
 
     def independent_family(self) -> SetFamily:

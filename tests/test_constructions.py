@@ -29,6 +29,7 @@ from covmatroid import (
     transversal_matroid,
     union_matroids,
 )
+from covmatroid.core import _canonical_sort_key
 from conftest import chain_covering, random_covering
 
 
@@ -633,9 +634,17 @@ def random_query(rng, n):
     return bits
 
 
+def matching_path(m):
+    """The builder that made a handle, "cut" or "placement", read from the
+    qualified name of its independence oracle."""
+    return {"_cut_matroid": "cut", "_placement_matroid": "placement"}[
+        m.indep_bits.__qualname__.split(".")[0]]
+
+
 class TestMatchingPaths:
     """Both engine paths, forced by ``_CUT_CAP``, against a max-flow that
-    shares no code with the package, on 7–14 blocks over up to 64 elements."""
+    shares no code with the package, on 7–14 blocks over up to 64 elements.
+    Either path gets the same bitmap factory for its walk."""
 
     def instances(self):
         rng = random.Random(41)
@@ -659,7 +668,8 @@ class TestMatchingPaths:
         for build, source, blocks, caps in self.instances():
             n = source.ground.n
             m = build(source)
-            assert (m._extend is None) == (cut_cap == 0)
+            assert matching_path(m) == ("placement" if cut_cap == 0 else "cut")
+            assert m._bitmap is not None
             for _ in range(25):
                 bits = random_query(rng, n)
                 flow = edmonds_karp(bits, blocks, caps)
@@ -694,7 +704,7 @@ class TestPastSixtyFourElements:
             cut = covering_matroid(cov)
             monkeypatch.setattr(constructions, "_CUT_CAP", 0)
             aug = covering_matroid(cov)
-            assert cut._extend is not None and aug._extend is None
+            assert matching_path(cut) == "cut" and matching_path(aug) == "placement"
             yield cov.ground, cut, aug
 
     def test_two_blocks_of_128_elements_are_drawn_within_a_second(self):
@@ -750,97 +760,31 @@ class TestPastSixtyFourElements:
                     assert r_or + r_and <= rx + ry
 
 
-class TestExtensionHook:
-    """The walk's extension hooks against their contract: for an independent
-    I of a powerset scan and a mask ``cand`` drawn from the parent's
-    independent extensions above max I, {e > max I : (I - max I) + e
-    independent} (any elements for I = ∅), the candidates e with I + e
-    independent.  ``cand`` is the whole of that set and random sub-masks
-    of it.  ``_CUT_CAP`` forces the matcher's path."""
+class TestBitmapWalk:
+    """Every handle built from (block, capacity) pairs reads its families
+    off a powerset bitmap.  They equal, member for member and in order, the
+    level walk of ``Matroid(m.ground, m.indep_bits)``: a twin with the same
+    oracle and no bitmap, which asks the oracle once per candidate.  The
+    handles come from every pair builder at every n from 1 to 12 (a ground
+    set is never empty): coverings and transversal families through the
+    matcher on both of its paths, with more than ``_CUT_CAP`` live blocks
+    and with zero capacities; transversal families with duplicate and empty
+    members; slices; partition, partition-circuit and k-rank matroids; rank
+    0 and the free matroid.  The coverings have loops; the ones with few
+    blocks have the enumerate bench's block density, 0.3, and the ones with
+    many about two elements a block."""
 
     @staticmethod
-    def handles(rng):
-        """(handle, matched) pairs; ``matched`` says whether the handle went
-        through the matcher, which picks its path by ``_CUT_CAP``."""
-        for n in (1, 3, 5, 7, 8, 10):
-            cov = random_covering(rng, n, rng.randint(1, 8), kmax=3, kmin=0)
-            yield covering_matroid(cov), True
-            yield transversal_matroid(
-                random_indexed_family(rng, n, rng.randint(1, 8))), True
-            g = cov.ground
-            parts = [[] for _ in range(rng.randint(1, 4))]
-            for label in g.labels:
-                rng.choice(parts).append(label)
-            parts = [p for p in parts if p]
-            p = PartitionWitness.from_labels(
-                g, parts, [rng.randint(0, len(p) + 1) for p in parts])
-            yield partition_matroid(p), False
-            yield partition_circuit_matroid(p), False
-            for block in (cov.blocks[0], g.full()):
-                yield k_rank_matroid(g, block, rng.randint(0, 3)), False
-
-    @staticmethod
-    def queries(rng, m):
-        """Each independent I with the parent's independent extensions above
-        max I as ``cand`` (all of U for ∅), and with three random sub-masks
-        of that."""
-        full = m.ground.full_mask
-        for bits in range(full + 1):
-            if m.indep_bits(bits):
-                top = bits.bit_length()
-                parent = bits ^ (1 << top >> 1)
-                allowed = full if not bits else sum(
-                    1 << e for e in range(top, m.ground.n)
-                    if m.indep_bits(parent | 1 << e))
-                yield bits, allowed
-                for _ in range(3):
-                    yield bits, allowed & rng.randrange(full + 1)
-
-    @pytest.mark.parametrize("cut_cap", [0, 14])
-    def test_hook_names_the_independent_extensions(self, monkeypatch, cut_cap):
-        monkeypatch.setattr(constructions, "_CUT_CAP", cut_cap)
-        rng = random.Random(59)
-        for m, matched in self.handles(random.Random(53)):
-            if matched:
-                assert (m._extend is None) == (cut_cap == 0)
-            else:
-                assert m._extend is not None
-            extend = m._extend() if m._extend else m._scan_extensions
-            for bits, cand in self.queries(rng, m):
-                assert extend(bits, cand) == sum(
-                    1 << e for e in range(m.ground.n)
-                    if cand >> e & 1 and m.indep_bits(bits | 1 << e)), (m, bits)
-
-    def test_cut_order_does_not_change_the_hook(self):
-        rng = random.Random(61)
-        for m, _ in self.handles(random.Random(53)):
-            cuts, n = m._extend.args
-            cuts = list(cuts)
-            rng.shuffle(cuts)
-            shuffled = constructions._cut_hook(cuts, n)
-            extend = m._extend()
-            for bits, cand in self.queries(rng, m):
-                assert shuffled(bits, cand) == extend(bits, cand), (m, bits)
-
-
-class TestWalkThroughTheHook:
-    """The level walk through a cut-table handle's hook lists the same
-    independent sets, circuits and bases, in the same order, as the walk of
-    a twin handle with no hook, which asks its oracle once per candidate.
-    The shapes are the enumerate bench's (n 10-13, 4-6 or 8-10 blocks of
-    density 0.3), with zero-capacity blocks and loops, and with tables that
-    repeat a capacity."""
-
-    @staticmethod
-    def sparse_covering(rng, n, m):
-        """m distinct blocks holding each element with probability 0.3 and
+    def sparse_covering(rng, n, m, density=0.3):
+        """m distinct blocks holding each element with probability
+        ``density`` (an empty or repeated draw is redrawn uniformly) and
         capacity 0, 1 or 2; elements no block holds form one more block of
         capacity 0, so they are loops."""
         g = GroundSet(f"x{i}" for i in range(n))
         blocks = set()
         while len(blocks) < m:
-            blocks.add(sum(1 << e for e in range(n) if rng.random() < 0.3)
-                       or 1 << rng.randrange(n))
+            b = sum(1 << e for e in range(n) if rng.random() < density)
+            blocks.add(b if b and b not in blocks else rng.randrange(1, 1 << n))
         blocks = sorted(blocks)
         caps = [rng.choice((0, 1, 1, 2, 2)) for _ in blocks]
         missing = g.full_mask
@@ -854,37 +798,55 @@ class TestWalkThroughTheHook:
 
     @classmethod
     def builds(cls, rng):
-        """(build, source) pairs: ``build(source)`` makes a fresh handle.
-        Each partition has a one-element block, a capacity-0 cut of its
-        partition-circuit matroid; each k-rank matroid has loops."""
-        for n, lo, hi in ((10, 4, 6), (11, 8, 10), (12, 8, 10), (13, 8, 10)) * 3:
-            cov = cls.sparse_covering(rng, n, rng.randint(lo, hi))
-            yield covering_matroid, cov
-            g = cov.ground
-            members = [g.mask(b.bits) for b in cov.blocks[:hi - 3]]
-            yield transversal_matroid, IndexedFamily(g, tuple(members * 2)[:hi])
+        """(kind, handle) pairs, about a dozen at each n.  Each partition
+        has a one-element block, which partition-circuit turns into a loop."""
+        for n in range(1, 13):
+            g = GroundSet(f"x{i}" for i in range(n))
+            for m, density in ((rng.randint(1, 6), 0.3), (rng.randint(11, 14), 2 / n)):
+                cov = cls.sparse_covering(rng, n, min(m, (1 << n) - 1), density)
+                yield "covering", covering_matroid(cov)
+                yield "slice", covering_matroid_slice(cov, rng.randrange(cov.m))
+            yield "rank 0", covering_matroid(cov.with_capacities([0] * cov.m))
+            for count, size in ((rng.randint(4, 6), n), (rng.randint(11, 14), 3)):
+                members = [g.mask(sum(1 << e for e in rng.sample(
+                    range(n), rng.randint(1, min(size, n))))) for _ in range(count)]
+                members += [g.empty(), members[0]]
+                yield "transversal", transversal_matroid(IndexedFamily(g, members))
             parts = [[g.labels[0]], [], [], []]
             for label in g.labels[1:]:
                 rng.choice(parts[1:]).append(label)
             parts = [p for p in parts if p]
             p = PartitionWitness.from_labels(
                 g, parts, [rng.randint(0, len(p)) for p in parts])
-            yield partition_matroid, p
-            yield partition_circuit_matroid, p
-            yield (lambda args: k_rank_matroid(*args)), (
-                g, cov.blocks[0], rng.randint(0, 3))
+            yield "partition", partition_matroid(p)
+            yield "partition-circuit", partition_circuit_matroid(p)
+            yield "k-rank", k_rank_matroid(g, cov.blocks[0], rng.randint(0, 3))
+            yield "free", k_rank_matroid(g, g.full(), n)
 
     def test_walks_agree_member_for_member(self):
-        zero_cut = repeated_capacity = False
-        for build, source in self.builds(random.Random(67)):
-            m, twin = build(source), build(source)
-            assert m._extend is not None
-            twin._extend = None
-            cuts = m._extend.args[0]
-            capacities = [capsum for _, capsum in cuts]
-            zero_cut |= 0 in capacities
-            repeated_capacity |= len(set(capacities)) < len(capacities)
+        paths = set()
+        for kind, m in self.builds(random.Random(67)):
+            assert m._bitmap is not None
+            twin = Matroid(m.ground, m.indep_bits)
             for walk in ("independent_family", "circuits", "bases"):
-                assert ([s.bits for s in getattr(m, walk)()]
-                        == [s.bits for s in getattr(twin, walk)()]), (m, walk)
-        assert zero_cut and repeated_capacity
+                assert (getattr(m, walk)()._ordered
+                        == getattr(twin, walk)()._ordered), (kind, m.ground.n, walk)
+            g = m.ground
+            if kind == "rank 0":
+                assert list(m.bases()) == [g.empty()]
+            if kind == "free":
+                assert list(m.bases()) == [g.full()] and not m.circuits()
+            if kind in ("covering", "transversal"):
+                paths.add(matching_path(m))
+        assert paths == {"cut", "placement"}
+
+    def test_oracle_handles_walk_by_extension(self):
+        """Duals, unions and handles built from an oracle alone have no
+        bitmap; their level walk lists the oracle's independent sets."""
+        g = GroundSet("abcd")
+        m = k_rank_matroid(g, g.subset("abc"), 2)
+        key = _canonical_sort_key(g.n)
+        for handle in (m.dual(), union_matroids([m, m]), Matroid(g, m.indep_bits)):
+            assert handle._bitmap is None
+            assert handle.independent_family()._ordered == sorted(
+                (b for b in range(16) if handle.indep_bits(b)), key=key)

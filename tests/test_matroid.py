@@ -296,7 +296,7 @@ def test_walk_edge_levels_match_powerset_definitions(name):
     """A rank-0 walk ends at level 0, with bases [∅] and every singleton a
     circuit; a free one at level n, with bases [U] and no circuit."""
     m = _EDGE_LEVELS[name]()
-    assert (m._extend is None) == name.endswith("scan hook")
+    assert (m._bitmap is None) == name.endswith("scan hook")
     g = m.ground
     indep, circuits, bases = _scan_definitions(m)
     assert list(m.independent_family()) == indep
@@ -363,75 +363,93 @@ def test_enumerations_match_powerset_definitions_on_augmenting_paths(
 
 def _count_oracle_calls(m):
     """Wrap ``m``'s independence oracle and, where a construction filled
-    the hook factory, the extension hook it builds for a walk (the default
-    hook asks the wrapped oracle).  In the returned list, item 0 counts the
-    calls of both and item 1 the hooks built."""
+    it, the bitmap factory its walk reads.  In the returned list, item 0
+    counts the oracle calls and item 1 the bitmaps built."""
     calls = [0, 0]
+    indep = m.indep_bits
 
-    def counted(inner):
-        def wrapper(*args):
-            calls[0] += 1
-            return inner(*args)
-        return wrapper
+    def counted(bits):
+        calls[0] += 1
+        return indep(bits)
 
-    m.indep_bits = counted(m.indep_bits)
-    if m._extend is not None:
-        factory = m._extend
+    m.indep_bits = counted
+    if m._bitmap is not None:
+        factory = m._bitmap
 
-        def build():
+        def build(lacks):
             calls[1] += 1
-            return counted(factory())
+            return factory(lacks)
 
-        m._extend = build
+        m._bitmap = build
     return calls
 
 
-def _nonempty_candidate_sets(family):
-    """How many members I of an independent family have a nonempty cand(I):
-    all of U for ∅, else the e above max I with (I - max I) + e in the
-    family."""
+def _scan_calls(family):
+    """The oracle calls of a level walk by extension that finds the
+    independent ``family``: one per candidate of each member I, all of U
+    for ∅, else the e above max I with (I - max I) + e in the family."""
     n = family.ground.n
     members = family.bitset()
     return sum(
-        1 for bits in members
-        if any(not bits or bits ^ (1 << bits.bit_length() >> 1) | 1 << e in members
-               for e in range(bits.bit_length(), n)))
+        n if not bits else sum(
+            1 for e in range(bits.bit_length(), n)
+            if bits ^ (1 << bits.bit_length() >> 1) | 1 << e in members)
+        for bits in members)
 
 
 @pytest.mark.parametrize("kind", sorted(_RANDOM_MATROIDS))
 def test_one_walk_per_handle(kind):
-    """Independents, circuits and bases share one walk of the levels:
-    whichever is asked for second makes no oracle or hook call, nor do
-    bases, dual bases and classify on a warm handle; the hook is built once,
-    by the walk; and the kept families equal a cold handle's member by
-    member."""
+    """Independents, circuits and bases share one walk.  Each kind here
+    reads them off one bitmap, built once, with no oracle call; a twin with
+    the same oracle and rank and no bitmap walks the levels by extension,
+    with one oracle call per candidate.  Whichever family is asked for second, bases
+    and dual bases then make no call and build no bitmap, classify makes
+    only the calls of ``is_identically_self_dual``, and the kept families
+    equal a cold handle's member by member."""
     for n in (1, 3, 5, 7, 9, 11):
         seed = f"one-walk:{kind}:{n}"
         for first, second in (("independent_family", "circuits"),
                               ("circuits", "independent_family")):
             m = _RANDOM_MATROIDS[kind](random.Random(seed), n)
-            calls = _count_oracle_calls(m)
-            getattr(m, first)()
-            walked = calls[0]
-            # Every kind here fills the hook, which the walk asks once for
-            # each independent I with a nonempty cand(I).
-            assert m._extend is not None
-            assert walked == _nonempty_candidate_sets(m.independent_family())
-            getattr(m, second)()
-            assert calls[0] == walked
-            m.bases()
-            m.dual().bases()
-            assert calls[0] == walked
-            calls[0] = 0
-            classify(m)
-            in_classify = calls[0]
-            calls[0] = 0
-            m.is_identically_self_dual()
-            assert in_classify == calls[0]
-            assert calls[1] == 1  # the walk built the hook, nothing else did
+            for handle in (m, Matroid(m.ground, m.indep_bits, m.rank_hint)):
+                calls = _count_oracle_calls(handle)
+                getattr(handle, first)()
+                walked = calls[0]
+                if handle is m:
+                    assert walked == 0 and calls[1] == 1
+                else:
+                    assert walked == _scan_calls(handle.independent_family())
+                getattr(handle, second)()
+                handle.bases()
+                handle.dual().bases()
+                assert calls[0] == walked
+                calls[0] = 0
+                classify(handle)
+                in_classify = calls[0]
+                calls[0] = 0
+                handle.is_identically_self_dual()
+                assert in_classify == calls[0]
+                assert calls[1] == (handle is m)  # the walk built it, nothing else did
             cold = _RANDOM_MATROIDS[kind](random.Random(seed), n)
             assert list(m.independent_family()) == list(cold.independent_family())
             assert list(m.circuits()) == list(cold.circuits())
+
+
+def test_a_placement_handle_enumerates_without_its_oracle():
+    """A transversal family with 12 members, past ``_CUT_CAP`` = 10 live
+    blocks, gets a placement handle (augmenting paths); its walk builds one
+    bitmap and asks the oracle nothing, and equals the twin's walk by
+    extension."""
+    g = GroundSet("abcdefgh")
+    family = IndexedFamily.from_labels(g, [
+        "ab", "ab", "bc", "cd", "d", "de", "a", "ef", "b", "c", "e", "fg"])
+    m = transversal_matroid(family)
+    assert m.indep_bits.__qualname__.startswith("_placement_matroid.")
+    twin = Matroid(g, m.indep_bits)
+    calls = _count_oracle_calls(m)
+    for walk in ("independent_family", "circuits", "bases"):
+        assert getattr(m, walk)()._ordered == getattr(twin, walk)()._ordered
+    assert calls == [0, 1]
 
 
 _OVER_THE_CAP = {
