@@ -59,6 +59,13 @@ def random_covering(rng: random.Random, n: int, m: int, kmax: int = 3,
     )
 
 
+def matching_path(m) -> str:
+    """The builder that made a handle, "cut" or "placement", read from the
+    qualified name of its independence oracle."""
+    return {"_cut_matroid": "cut", "_placement_matroid": "placement"}[
+        m.indep_bits.__qualname__.split(".")[0]]
+
+
 def chain_covering(n: int = 1200) -> CapacitatedCovering:
     """n blocks C_1..C_n of capacity 1, with y_i in C_i and C_(i+1) and z in
     C_1 only.  Placing z, the last element, moves every y_i along one

@@ -30,7 +30,7 @@ from covmatroid import (
     union_matroids,
 )
 from covmatroid.core import _canonical_sort_key
-from conftest import chain_covering, random_covering
+from conftest import chain_covering, matching_path, random_covering
 
 
 def fam(ground, *sets):
@@ -634,13 +634,6 @@ def random_query(rng, n):
     return bits
 
 
-def matching_path(m):
-    """The builder that made a handle, "cut" or "placement", read from the
-    qualified name of its independence oracle."""
-    return {"_cut_matroid": "cut", "_placement_matroid": "placement"}[
-        m.indep_bits.__qualname__.split(".")[0]]
-
-
 class TestMatchingPaths:
     """Both engine paths, forced by ``_CUT_CAP``, against a max-flow that
     shares no code with the package, on 7–14 blocks over up to 64 elements.
@@ -775,7 +768,7 @@ class TestBitmapWalk:
     many about two elements a block."""
 
     @staticmethod
-    def sparse_covering(rng, n, m, density=0.3):
+    def sparse_covering(rng, n, m, density):
         """m distinct blocks holding each element with probability
         ``density`` (an empty or repeated draw is redrawn uniformly) and
         capacity 0, 1 or 2; elements no block holds form one more block of

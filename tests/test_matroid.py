@@ -30,7 +30,7 @@ from covmatroid import (
 )
 from covmatroid.oracle import bf_dual_family, bf_rank
 
-from conftest import random_covering
+from conftest import matching_path, random_covering
 
 
 def fam(ground, *sets):
@@ -444,7 +444,7 @@ def test_a_placement_handle_enumerates_without_its_oracle():
     family = IndexedFamily.from_labels(g, [
         "ab", "ab", "bc", "cd", "d", "de", "a", "ef", "b", "c", "e", "fg"])
     m = transversal_matroid(family)
-    assert m.indep_bits.__qualname__.startswith("_placement_matroid.")
+    assert matching_path(m) == "placement"
     twin = Matroid(g, m.indep_bits)
     calls = _count_oracle_calls(m)
     for walk in ("independent_family", "circuits", "bases"):
