@@ -341,7 +341,8 @@ def k_rank_matroid(ground: GroundSet, block: SubsetMask, k: int) -> Matroid:
     rest = ground.full_mask & ~bits
     # The cut of loops U - K adds nothing to the rank, so only K is summed.
     cuts = pairs + ((rest, 0),) if rest else pairs
-    return _cut_matroid(ground, pairs, cuts, partial(_partition_rank, pairs), "k-rank")
+    return _cut_matroid(ground, pairs, cuts, partial(_partition_rank, pairs),
+                        "k-rank")
 
 
 def partition_matroid(p: PartitionWitness) -> Matroid:

@@ -123,7 +123,8 @@ def _decode(bitmap: int, n: int, low: list[int], high: list[int]) -> list[int]:
     return masks
 
 
-def _family_bitmaps(n: int, family_bitmap: Callable[[list[int]], int]) -> tuple[int, int]:
+def _family_bitmaps(n: int, family_bitmap: Callable[[list[int]], int]
+                    ) -> tuple[int, int]:
     """The powerset bitmaps of the independent sets, B =
     ``family_bitmap(_lacks(n))``, and of the circuits.  A set S is a
     circuit iff S is not in B and, for each element e of S, S - e is:

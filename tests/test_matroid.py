@@ -402,10 +402,10 @@ def test_one_walk_per_handle(kind):
     """Independents, circuits and bases share one walk.  Each kind here
     reads them off one bitmap, built once, with no oracle call; a twin with
     the same oracle and rank and no bitmap walks the levels by extension,
-    with one oracle call per candidate.  Whichever family is asked for second, bases
-    and dual bases then make no call and build no bitmap, classify makes
-    only the calls of ``is_identically_self_dual``, and the kept families
-    equal a cold handle's member by member."""
+    with one oracle call per candidate.  Whichever family is asked for
+    second, bases and dual bases then make no call and build no bitmap,
+    classify makes only the calls of ``is_identically_self_dual``, and the
+    kept families equal a cold handle's member by member."""
     for n in (1, 3, 5, 7, 9, 11):
         seed = f"one-walk:{kind}:{n}"
         for first, second in (("independent_family", "circuits"),
