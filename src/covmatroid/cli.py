@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 parse/validation error, 2 size-limit or usage
 error, 3 precondition failure, 4 verification mismatch (with --verify).
+A reader that closes stdout early (``| head``) is no error: the command
+stops, prints nothing more and exits 0.
 All output is deterministic: sets print in label order, families in
 canonical order, and nothing time- or platform-dependent is emitted.
 
@@ -20,6 +22,7 @@ accepts, such as ``--set=a``.
 
 from __future__ import annotations
 
+import os
 import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
@@ -377,6 +380,15 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     try:
         doc = parse_file(args.input)
         COMMANDS[args.command][0](doc, args, out)
+        out.flush()  # a closed reader shows here, not at shutdown
+    except BrokenPipeError:
+        if out is sys.stdout:
+            # The failed flush left the output buffered; point fd 1 at
+            # devnull, so the flush at shutdown stays silent.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_OK
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

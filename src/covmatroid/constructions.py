@@ -19,7 +19,7 @@ its pairs as the private factory from which its walk reads the
 independent sets, circuits and bases as one powerset bitmap of 2^n bits
 (see :class:`~covmatroid.matroid.Matroid`), with no oracle call; so
 ``_CUT_CAP`` picks only how queries are answered.  A union of arbitrary
-matroids has no pairs and keeps the walk by extension.
+matroids has no pairs, so its walk fills the bitmap from its oracle.
 
 Blocks, family members and k-rank blocks are read through
 ``core._bits_on``, and a covering's blocks are held to

@@ -10,9 +10,9 @@ A document looks like::
 
 ``kind`` is one of ``covering``, ``partition`` or ``indexed_family``.
 ``member:`` is another spelling of ``block:`` in every kind.  Block names
-(``NAME =``) and capacities (``k=N``, default 1, at most one per line) are
-optional; an element label may not contain ``=``.  Blank lines and ``#``
-comments are ignored.
+(``NAME =``) and capacities (``k=N``, N one or more ASCII digits 0-9,
+default 1, at most one per line) are optional; an element label may not
+contain ``=``.  Blank lines and ``#`` comments are ignored.
 """
 
 from __future__ import annotations
@@ -124,12 +124,11 @@ def parse_document(text: str) -> InputDocument:
                 if tok.startswith("k="):
                     if k is not None:
                         raise ParseError("duplicate capacity", lineno)
-                    try:
-                        k = int(tok[2:])
-                    except ValueError:
-                        raise ParseError(f"bad capacity {tok!r}", lineno) from None
-                    if k < 0:
-                        raise ParseError("capacity must be nonnegative", lineno)
+                    # int() would also read "+1", "1_0" and non-ASCII digits.
+                    digits = tok[2:]
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise ParseError(f"bad capacity {tok!r}", lineno)
+                    k = int(digits)
                 else:
                     elems.append(tok)
             raw_blocks.append((lineno, elems, 1 if k is None else k))

@@ -1,8 +1,9 @@
 """Generic matroid over an independence oracle.
 
-Rank, closure, circuits, bases and the dual are all derived from the
-oracle, except that a handle built from (block, capacity) pairs reads its
-independent sets, circuits and bases off a powerset bitmap.  Greedy rank
+Rank, closure and the dual are derived from the oracle.  Independent
+sets, circuits and bases are read off a powerset bitmap of the independent
+family, which a handle built from (block, capacity) pairs computes from
+its pairs and any other handle fills from its oracle.  Greedy rank
 is correct only because the oracle satisfies the independence axioms;
 handles are therefore produced by the construction functions or by
 :func:`check_independence_axioms`-vetted families.
@@ -103,6 +104,13 @@ def _flipped_reversals(k: int) -> list[int]:
     return table
 
 
+def _mask_tables(n: int) -> tuple[list[int], list[int]]:
+    """The ``low`` and ``high`` tables :func:`_decode` reads masks from."""
+    low_bits = min(n, (n + 3) // 2)
+    return ([t << (n - low_bits) for t in _flipped_reversals(low_bits)],
+            _flipped_reversals(n - low_bits))
+
+
 def _decode(bitmap: int, n: int, low: list[int], high: list[int]) -> list[int]:
     """The masks of a powerset bitmap's sets in canonical order.  Its
     binary string holds bit p = 2^n - 1 - j at position j, so it lists the
@@ -123,19 +131,26 @@ def _decode(bitmap: int, n: int, low: list[int], high: list[int]) -> list[int]:
     return masks
 
 
+def _deletions_in(bitmap: int, lacks: list[int]) -> int:
+    """The powerset bitmap of the sets S such that, for each element e of
+    S, S - e is in ``bitmap``: (``bitmap`` & lacks[e]) << 2^(n-1-e) is the
+    bitmap of the sets T + e with T in it.  ∅ is always one of them."""
+    n = len(lacks)
+    out = (1 << (1 << n)) - 1
+    for e, lack in enumerate(lacks):
+        out &= lack | (bitmap & lack) << (1 << (n - 1 - e))
+    return out
+
+
 def _family_bitmaps(n: int, family_bitmap: Callable[[list[int]], int]
                     ) -> tuple[int, int]:
     """The powerset bitmaps of the independent sets, B =
-    ``family_bitmap(_lacks(n))``, and of the circuits.  A set S is a
-    circuit iff S is not in B and, for each element e of S, S - e is:
-    (B & lacks[e]) << 2^(n-1-e) is the bitmap of the sets T + e with T in
-    B.  The ``lacks`` bitmaps (2^n / 8 bytes each) are dropped on return."""
+    ``family_bitmap(_lacks(n))``, and of the circuits: the sets not in B
+    whose one-element deletions all are.  The ``lacks`` bitmaps (2^n / 8
+    bytes each) are dropped on return."""
     lacks = _lacks(n)
     indep = family_bitmap(lacks)
-    circuits = ((1 << (1 << n)) - 1) ^ indep
-    for e, lack in enumerate(lacks):
-        circuits &= lack | (indep & lack) << (1 << (n - 1 - e))
-    return indep, circuits
+    return indep, _deletions_in(indep, lacks) & ~indep
 
 
 def _bitmap_families(ground: GroundSet, family_bitmap: Callable[[list[int]], int]
@@ -145,9 +160,7 @@ def _bitmap_families(ground: GroundSet, family_bitmap: Callable[[list[int]], int
     non-empty level of the independents."""
     n = ground.n
     indep, circuits = _family_bitmaps(n, family_bitmap)
-    low_bits = min(n, (n + 3) // 2)
-    low = [t << (n - low_bits) for t in _flipped_reversals(low_bits)]
-    high = _flipped_reversals(n - low_bits)
+    low, high = _mask_tables(n)
     independents = _decode(indep, n, low, high)
     top = bisect_left(independents, independents[-1].bit_count(), key=int.bit_count)
     return (SetFamily._canonical(ground, independents),
@@ -163,26 +176,26 @@ class Matroid:
     ``repr`` and tracing only.
 
     Precondition: the oracle is hereditary (I2: every subset of an
-    independent set is independent).  The level walk extends independent
-    sets only, so on an oracle that breaks I2 it misses sets; every handle
-    the package builds satisfies it.
+    independent set is independent).  The level fill asks only about sets
+    whose every one-element deletion is independent, so on an oracle that
+    breaks I2 it misses sets; every handle the package builds satisfies it.
 
     A handle is immutable (its oracle is fixed at construction), so its
     independent, circuit and base families come from one walk on first use
     and are kept for its lifetime: near the fixed enumeration cap, n ≤
     ``DEFAULT_ENUM_CAP`` = 22, which the walk checks first, millions of
-    masks.  How the walk runs is fixed by how the handle was built:
+    masks.  The walk reads all three off one *powerset bitmap*, an integer
+    of 2^n bits whose bit p stands for the set whose mask is the n-bit
+    reversal of p (see :func:`_bitmap_families`).  The independent
+    family's bitmap comes from a factory that takes the ``_lacks`` bitmaps
+    of the ground set:
 
     * a handle that ``constructions`` builds from (block, capacity) pairs
-      fills the private ``_bitmap``: a factory that takes the ``_lacks``
-      bitmaps of the ground set and returns the independent family as a
-      *powerset bitmap*, an integer of 2^n bits whose bit p stands for the
-      set whose mask is the n-bit reversal of p.  The walk reads the
-      independent sets, circuits and bases off that bitmap and asks no
-      oracle (see :func:`_bitmap_families`);
+      fills the private ``_bitmap`` with one that computes it from the
+      pairs and asks no oracle;
     * every other handle (duals, unions, and handles built from an oracle
-      alone) walks the levels by extension, one ``indep_bits`` call per
-      candidate (see :meth:`_scan_walk`).
+      alone) fills it level by level from ``indep_bits``, one call per
+      non-empty independent set and one per circuit (see :meth:`_fill`).
 
     A warm :meth:`bases` reads the walk; dual bases are the complements of
     the primal's.
@@ -251,86 +264,40 @@ class Matroid:
 
     # -- enumerations -----------------------------------------------------
 
-    def _scan_extensions(self, bits: int, cand: int) -> int:
-        """The candidates e in ``cand`` with ``bits`` + e independent: one
-        oracle call per candidate."""
+    def _fill(self, lacks: list[int]) -> int:
+        """The independent family's powerset bitmap, filled level by level
+        from the oracle.  The candidates of level k + 1 are the non-empty
+        sets whose one-element deletions are all in level k.  The oracle is
+        asked once per candidate, each rejected one is cleared from the
+        binary string, and the rest are level k + 1.  By I2 every non-empty
+        independent set and every circuit is a candidate, and nothing else
+        is, so a walk makes |I| - 1 + |C| calls.  ``indep_bits`` is read
+        here, at walk time."""
+        n = self.ground.n
         indep = self.indep_bits
-        out = 0
-        while cand:
-            e = cand & -cand
-            cand ^= e
-            if indep(bits | e):
-                out |= e
-        return out
-
-    def _scan_walk(self) -> tuple[SetFamily, SetFamily, SetFamily]:
-        """The independent, circuit and base families in canonical order,
-        from one level-wise walk by extension.  Each member I of level k
-        carries cand(I), the elements above max I that extended its parent
-        (all of U for ∅); level k+1 extends each I, in order, by each
-        candidate e with I + e independent, which keeps lex order, and
-        I + e carries the accepted elements above e.  By I2 no other element
-        extends I, and a dependent I + e with e outside cand(I) contains the
-        dependent (I - max I) + e, so it is no circuit.  The rest of cand(I)
-        are the dependent extensions; one is a circuit iff dropping any one
-        element of I leaves a member of level k (dropping the new element
-        leaves I).  A level is two lists, the members that still have
-        candidates and those candidates, so a leaf is never visited again;
-        the dependent extensions are kept as the walk meets them and tested
-        against the finished family, in which a k-set is a member iff it is
-        in level k.  The last non-empty level holds the bases."""
-        independents = [0]
-        found = independents.append
-        dependent: list[tuple[int, int]] = []
-        top = 0  # where the last non-empty level starts in independents
-        members, cands = [0], [self.ground.full_mask]
-        while members:
-            start = len(independents)
-            nxt_members: list[int] = []
-            nxt_cands: list[int] = []
-            for i, cand in zip(members, cands):
-                ext = self._scan_extensions(i, cand)
-                if ext != cand:
-                    dependent.append((i, cand ^ ext))
-                while ext:
-                    e = ext & -ext
-                    ext ^= e
-                    found(i | e)
-                    if ext:
-                        nxt_members.append(i | e)
-                        nxt_cands.append(ext)
-            if len(independents) > start:
-                top = start
-            members, cands = nxt_members, nxt_cands
-        family = SetFamily._canonical(self.ground, independents)
-        indep = family.bitset()
-        circuits = []
-        for i, dep in dependent:
-            while dep:
-                e = dep & -dep
-                dep ^= e
-                c = i | e
-                rest = i
-                while rest:
-                    low = rest & -rest
-                    if c ^ low not in indep:
-                        break
-                    rest ^= low
-                else:
-                    circuits.append(c)
-        return (family, SetFamily._canonical(self.ground, circuits),
-                SetFamily._canonical(self.ground, independents[top:]))
+        low, high = _mask_tables(n)
+        width = len(low)
+        family = level = 1
+        while level:
+            cand = _deletions_in(level, lacks) ^ 1
+            flags = bytearray(format(cand, f"0{1 << n}b").encode())
+            j = flags.find(b"1")
+            while j >= 0:
+                if not indep(high[j // width] | low[j % width]):
+                    flags[j] = ord("0")
+                j = flags.find(b"1", j + 1)
+            level = int(flags, 2)
+            family |= level
+        return family
 
     def _walk(self) -> tuple[SetFamily, SetFamily, SetFamily]:
         """The independent, circuit and base families in canonical order,
-        from the handle's bitmap factory or else its level walk, on first
-        use."""
+        read off the handle's bitmap factory or else its oracle's fill, on
+        first use."""
         if self._families is None:
             check_enum_cap(self.ground.n)
-            if self._bitmap is None:
-                self._families = self._scan_walk()
-            else:
-                self._families = _bitmap_families(self.ground, self._bitmap)
+            self._families = _bitmap_families(self.ground,
+                                              self._bitmap or self._fill)
         return self._families
 
     def independent_family(self) -> SetFamily:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from covmatroid import CapacitatedCovering, GroundSet
+from covmatroid.core import _canonical_sort_key
 
 # CI selects this profile (--hypothesis-profile=ci) so each run draws the
 # same examples; local runs keep the default, randomized profile.
@@ -64,6 +65,20 @@ def matching_path(m) -> str:
     qualified name of its independence oracle."""
     return {"_cut_matroid": "cut", "_placement_matroid": "placement"}[
         m.indep_bits.__qualname__.split(".")[0]]
+
+
+def scan_definitions(m):
+    """Independent sets, circuits and bases of ``m`` by their definitions,
+    over every subset, as masks in canonical order.  It shares no code with
+    the walk, so tests diff the walk against it."""
+    n = m.ground.n
+    indep = {b for b in range(1 << n) if m.indep_bits(b)}
+    circuits = [b for b in range(1 << n) if b not in indep
+                and all(b & ~(1 << i) in indep for i in range(n) if b >> i & 1)]
+    r = max(b.bit_count() for b in indep)
+    bases = [b for b in indep if b.bit_count() == r]
+    key = _canonical_sort_key(n)
+    return tuple(sorted(fam, key=key) for fam in (indep, circuits, bases))
 
 
 def chain_covering(n: int = 1200) -> CapacitatedCovering:

@@ -4,11 +4,14 @@ determinism across repeated runs."""
 import contextlib
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import covmatroid
 from covmatroid import Matroid, SetFamily
 from covmatroid.cli import COMMANDS, _read_plain, build_parser, main
 from covmatroid.io import render_covering_document
@@ -16,6 +19,7 @@ from covmatroid.io import render_covering_document
 from conftest import chain_covering
 
 FIX = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = str(Path(covmatroid.__file__).parent.parent)
 
 
 def fx(name):
@@ -275,6 +279,38 @@ class TestExitCodes:
         assert run(
             "neighborhood", fx("zero_cap.txt"), "--element", "zz", "--matroidal"
         ) == (1, "")
+
+    def test_closed_stdout_is_0_and_silent(self, capsys):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        assert main(["independents", fx("example1.txt")], out=Closed()) == 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("name, lines", [("free16", 1), ("example1", 0)])
+    def test_closed_stdout_pipe_is_0_and_silent(self, tmp_path, name, lines):
+        # free16's 2^16 sets are far more than a pipe buffer holds, so the
+        # command is still writing when the reader closes after one line.
+        # example1's output is still in the command's buffer when the reader
+        # closes, so the closed pipe shows only when it is flushed.
+        doc = fx("example1.txt")
+        if name == "free16":
+            labels = " ".join(f"e{i}" for i in range(16))
+            doc = tmp_path / "free16.txt"
+            doc.write_text(f"format: 1\nkind: covering\nuniverse: {labels}\n"
+                           f"block: {labels} k=16\n")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default
+        with subprocess.Popen(
+                [sys.executable, "-m", "covmatroid.cli", "independents", str(doc)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            for _ in range(lines):
+                assert proc.stdout.readline() == "∅\n".encode()
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""
 
     def test_verify_mismatch_is_4(self):
         code, _ = run("approx", fx("example1.txt"), "--set", "a", "--matroidal")

@@ -29,8 +29,8 @@ from covmatroid import (
     transversal_matroid,
     union_matroids,
 )
-from covmatroid.core import _canonical_sort_key
-from conftest import chain_covering, matching_path, random_covering
+from conftest import (chain_covering, matching_path, random_covering,
+                      scan_definitions)
 
 
 def fam(ground, *sets):
@@ -755,9 +755,10 @@ class TestPastSixtyFourElements:
 
 class TestBitmapWalk:
     """Every handle built from (block, capacity) pairs reads its families
-    off a powerset bitmap.  They equal, member for member and in order, the
-    level walk of ``Matroid(m.ground, m.indep_bits)``: a twin with the same
-    oracle and no bitmap, which asks the oracle once per candidate.  The
+    off a powerset bitmap computed from its pairs, and
+    ``Matroid(m.ground, m.indep_bits)``, a twin with the same oracle and no
+    pairs, fills one from the oracle.  Both equal, member for member and in
+    order, the lists the definitions give over every subset.  The
     handles come from every pair builder at every n from 1 to 12 (a ground
     set is never empty): coverings and transversal families through the
     matcher on both of its paths, with more than ``_CUT_CAP`` live blocks
@@ -820,10 +821,11 @@ class TestBitmapWalk:
         paths = set()
         for kind, m in self.builds(random.Random(67)):
             assert m._bitmap is not None
-            twin = Matroid(m.ground, m.indep_bits)
-            for walk in ("independent_family", "circuits", "bases"):
-                assert (getattr(m, walk)()._ordered
-                        == getattr(twin, walk)()._ordered), (kind, m.ground.n, walk)
+            expected = scan_definitions(m)
+            for handle in (m, Matroid(m.ground, m.indep_bits)):
+                walked = (handle.independent_family()._ordered,
+                          handle.circuits()._ordered, handle.bases()._ordered)
+                assert walked == expected, (kind, m.ground.n, handle)
             g = m.ground
             if kind == "rank 0":
                 assert list(m.bases()) == [g.empty()]
@@ -833,13 +835,14 @@ class TestBitmapWalk:
                 paths.add(matching_path(m))
         assert paths == {"cut", "placement"}
 
-    def test_oracle_handles_walk_by_extension(self):
+    def test_oracle_handles_fill_their_bitmap(self):
         """Duals, unions and handles built from an oracle alone have no
-        bitmap; their level walk lists the oracle's independent sets."""
+        pairs; the bitmap they fill from their oracle lists the sets the
+        definitions give."""
         g = GroundSet("abcd")
         m = k_rank_matroid(g, g.subset("abc"), 2)
-        key = _canonical_sort_key(g.n)
         for handle in (m.dual(), union_matroids([m, m]), Matroid(g, m.indep_bits)):
             assert handle._bitmap is None
-            assert handle.independent_family()._ordered == sorted(
-                (b for b in range(16) if handle.indep_bits(b)), key=key)
+            assert (handle.independent_family()._ordered,
+                    handle.circuits()._ordered,
+                    handle.bases()._ordered) == scan_definitions(handle)

@@ -198,6 +198,19 @@ def test_a_second_capacity_on_a_block_line_is_a_parse_error(key, block):
     assert _convert(text) == (1, "")
 
 
+@pytest.mark.parametrize("capacity", [
+    # int() reads these as 1, 10 and 1; a capacity is ASCII digits only.
+    "k=+1", "k=1_0", "k=\u0661",
+    "k=-1", "k=", "k=x", "k=1.0",
+])
+def test_a_capacity_other_than_ascii_digits_is_a_parse_error(capacity):
+    text = f"format: 1\nkind: covering\nuniverse: a b\nblock: a b {capacity}\n"
+    with pytest.raises(ParseError) as info:
+        parse_document(text)
+    assert str(info.value) == f"line 4: bad capacity {capacity!r}"
+    assert _convert(text) == (1, "")
+
+
 @pytest.mark.parametrize("kind, blocks", [
     ("covering", ["K1 = a b k=2", "b, c k=0", "c"]),
     ("partition", ["a b k=0", "P2 = c k=3"]),

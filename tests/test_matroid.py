@@ -28,9 +28,10 @@ from covmatroid import (
     transversal_matroid,
     union_matroids,
 )
+from covmatroid.core import _canonical_sort_key
 from covmatroid.oracle import bf_dual_family, bf_rank
 
-from conftest import matching_path, random_covering
+from conftest import matching_path, random_covering, scan_definitions
 
 
 def fam(ground, *sets):
@@ -264,30 +265,13 @@ class TestCircuitsBases:
                 assert any(c.bits & ~bits == 0 for c in circuits)
 
 
-def _canonical(ground, bits):
-    return [ground.mask(b) for b in
-            sorted(bits, key=lambda b: ground.mask(b).canonical_key())]
-
-
-def _scan_definitions(m):
-    """Independent sets, circuits and bases of ``m`` by their definitions,
-    over every subset, in canonical order."""
-    n = m.ground.n
-    indep = {b for b in range(1 << n) if m.indep_bits(b)}
-    circuits = [b for b in range(1 << n) if b not in indep
-                and all(b & ~(1 << i) in indep for i in range(n) if b >> i & 1)]
-    r = max(b.bit_count() for b in indep)
-    bases = [b for b in indep if b.bit_count() == r]
-    return tuple(_canonical(m.ground, fam) for fam in (indep, circuits, bases))
-
-
 _EDGE_LEVELS = {
     "rank-0 covering": lambda: covering_matroid(CapacitatedCovering.from_labels(
         GroundSet("abcd"), [["a", "b"], ["b", "c", "d"]], [0, 0])),
     "free covering": lambda: covering_matroid(CapacitatedCovering.from_labels(
         GroundSet("abcd"), [["a", "b"], ["b", "c", "d"]], [2, 3])),
-    "rank-0 on the scan hook": rank0_matroid,
-    "free on the scan hook": lambda: free_matroid(4),
+    "rank-0 oracle handle": rank0_matroid,
+    "free oracle handle": lambda: free_matroid(4),
 }
 
 
@@ -296,17 +280,17 @@ def test_walk_edge_levels_match_powerset_definitions(name):
     """A rank-0 walk ends at level 0, with bases [∅] and every singleton a
     circuit; a free one at level n, with bases [U] and no circuit."""
     m = _EDGE_LEVELS[name]()
-    assert (m._bitmap is None) == name.endswith("scan hook")
+    assert (m._bitmap is None) == name.endswith("oracle handle")
     g = m.ground
-    indep, circuits, bases = _scan_definitions(m)
-    assert list(m.independent_family()) == indep
-    assert list(m.circuits()) == circuits
-    assert list(m.bases()) == bases
+    indep, circuits, bases = scan_definitions(m)
+    assert m.independent_family()._ordered == indep
+    assert m.circuits()._ordered == circuits
+    assert m.bases()._ordered == bases
     if name.startswith("rank-0"):
-        assert indep == bases == [g.empty()]
-        assert circuits == [g.mask(1 << i) for i in range(g.n)]
+        assert indep == bases == [0]
+        assert circuits == [1 << i for i in range(g.n)]
     else:
-        assert bases == [g.full()] and circuits == []
+        assert bases == [g.full_mask] and circuits == []
 
 
 def _random_partition(rng, n):
@@ -339,14 +323,14 @@ def _check_enumerations(kind):
     rng = random.Random(f"enumerations:{kind}")
     for n in (1, 3, 5, 7, 8, 9, 10, 11):
         m = _RANDOM_MATROIDS[kind](rng, n)
-        dual_bases = _scan_definitions(m.dual())[2]
-        assert list(m.dual().bases()) == dual_bases
-        assert list(m.dual().dual().bases()) == _scan_definitions(m)[2]
+        dual_bases = scan_definitions(m.dual())[2]
+        assert m.dual().bases()._ordered == dual_bases
+        assert m.dual().dual().bases()._ordered == scan_definitions(m)[2]
         for handle in (m, m.dual()):
-            indep, circuits, bases = _scan_definitions(handle)
-            assert list(handle.independent_family()) == indep
-            assert list(handle.circuits()) == circuits
-            assert list(handle.bases()) == bases
+            indep, circuits, bases = scan_definitions(handle)
+            assert handle.independent_family()._ordered == indep
+            assert handle.circuits()._ordered == circuits
+            assert handle.bases()._ordered == bases
 
 
 @pytest.mark.parametrize("kind", sorted(_RANDOM_MATROIDS))
@@ -384,41 +368,31 @@ def _count_oracle_calls(m):
     return calls
 
 
-def _scan_calls(family):
-    """The oracle calls of a level walk by extension that finds the
-    independent ``family``: one per candidate of each member I, all of U
-    for ∅, else the e above max I with (I - max I) + e in the family."""
-    n = family.ground.n
-    members = family.bitset()
-    return sum(
-        n if not bits else sum(
-            1 for e in range(bits.bit_length(), n)
-            if bits ^ (1 << bits.bit_length() >> 1) | 1 << e in members)
-        for bits in members)
-
-
 @pytest.mark.parametrize("kind", sorted(_RANDOM_MATROIDS))
 def test_one_walk_per_handle(kind):
     """Independents, circuits and bases share one walk.  Each kind here
-    reads them off one bitmap, built once, with no oracle call; a twin with
-    the same oracle and rank and no bitmap walks the levels by extension,
-    with one oracle call per candidate.  Whichever family is asked for
-    second, bases and dual bases then make no call and build no bitmap,
-    classify makes only the calls of ``is_identically_self_dual``, and the
-    kept families equal a cold handle's member by member."""
+    reads them off one bitmap, built once, with no oracle call.  A twin with
+    the same oracle and rank and no bitmap, the twin's dual and a union fill
+    the bitmap from their oracle: exactly |I| - 1 + |C| calls, one per
+    non-empty independent set and one per circuit.  Whichever family is
+    asked for second, bases and dual bases then make no call and build no
+    bitmap, classify makes only the calls of ``is_identically_self_dual``,
+    and the kept families equal a cold handle's member by member."""
     for n in (1, 3, 5, 7, 9, 11):
         seed = f"one-walk:{kind}:{n}"
         for first, second in (("independent_family", "circuits"),
                               ("circuits", "independent_family")):
             m = _RANDOM_MATROIDS[kind](random.Random(seed), n)
-            for handle in (m, Matroid(m.ground, m.indep_bits, m.rank_hint)):
+            twin = Matroid(m.ground, m.indep_bits, m.rank_hint)
+            for handle in (m, twin, twin.dual(), union_matroids([m, m])):
                 calls = _count_oracle_calls(handle)
                 getattr(handle, first)()
                 walked = calls[0]
                 if handle is m:
                     assert walked == 0 and calls[1] == 1
                 else:
-                    assert walked == _scan_calls(handle.independent_family())
+                    assert walked == (len(handle.independent_family()) - 1
+                                      + len(handle.circuits()))
                 getattr(handle, second)()
                 handle.bases()
                 handle.dual().bases()
@@ -438,17 +412,17 @@ def test_one_walk_per_handle(kind):
 def test_a_placement_handle_enumerates_without_its_oracle():
     """A transversal family with 12 members, past ``_CUT_CAP`` = 10 live
     blocks, gets a placement handle (augmenting paths); its walk builds one
-    bitmap and asks the oracle nothing, and equals the twin's walk by
-    extension."""
+    bitmap and asks the oracle nothing, and lists the sets the definitions
+    give."""
     g = GroundSet("abcdefgh")
     family = IndexedFamily.from_labels(g, [
         "ab", "ab", "bc", "cd", "d", "de", "a", "ef", "b", "c", "e", "fg"])
     m = transversal_matroid(family)
     assert matching_path(m) == "placement"
-    twin = Matroid(g, m.indep_bits)
+    expected = scan_definitions(m)
     calls = _count_oracle_calls(m)
-    for walk in ("independent_family", "circuits", "bases"):
-        assert getattr(m, walk)()._ordered == getattr(twin, walk)()._ordered
+    assert (m.independent_family()._ordered, m.circuits()._ordered,
+            m.bases()._ordered) == expected
     assert calls == [0, 1]
 
 
@@ -475,8 +449,7 @@ _CAPPED_ENUMERATIONS = (
 
 def _raises_before_any_call(call, handles, message):
     """``call()`` raises ``SizeLimitError`` with exactly ``message`` and asks
-    no oracle, extension hook or rank function of ``handles``, nor builds
-    a hook."""
+    no oracle or rank function of ``handles``, nor builds a bitmap."""
     calls = [_count_oracle_calls(h) for h in handles]
     for h, counter in zip(handles, calls):
         rank = h.rank_hint
@@ -527,7 +500,8 @@ def test_warm_handle_keeps_the_cap_and_its_dual_walks_its_own(kind):
         members = expected.bitset()
         circuits = [b for b in range(1 << n) if b not in members
                     and all(b & ~(1 << i) in members for i in range(n) if b >> i & 1)]
-        assert list(dual.circuits()) == _canonical(m.ground, circuits)
+        assert dual.circuits()._ordered == sorted(circuits,
+                                                  key=_canonical_sort_key(n))
 
 
 class TestDual:
