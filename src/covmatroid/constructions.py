@@ -3,23 +3,21 @@ transversal and partition-circuit matroids, plus the conversions between
 the covering and transversal presentations and the dual-parameter formula
 for partition matroids.
 
-Every handle comes from one of two private builders.  ``_cut_matroid``
-checks a table of (elements, capacity) cuts: partition, partition-circuit
-and k-rank matroids (M(K, k) is the partition matroid of {K, U - K} with
-capacities (k, 0)), and the min-cut table of a covering or transversal
-with few live blocks.  ``_placement_matroid`` places a set's elements one
-at a time: by augmenting paths for larger coverings and transversals, and
-by matroid partitioning for :func:`union_matroids`.
+Every handle built from (block, capacity) pairs comes from
+``_matching_matroid``: coverings, transversal families and slices, and
+partition, partition-circuit and k-rank matroids (M(K, k) is the single
+pair (K, k)).  Its live blocks pick how queries are answered: by the
+partition sum when they are pairwise disjoint, by a min-cut table when
+they overlap and are few, and otherwise by ``_placement_matroid``, which
+places a set's elements one at a time along augmenting paths; it places
+them by matroid partitioning for :func:`union_matroids`.
 
-Each handle built from (block, capacity) pairs is the union of the k-rank
-matroids M(K, k) of its pairs: the matcher's handles on both paths
-(coverings, transversal families, slices), and partition,
-partition-circuit and k-rank matroids.  Each gets ``_union_bitmap`` over
-its pairs as the private factory from which its walk reads the
-independent sets, circuits and bases as one powerset bitmap of 2^n bits
-(see :class:`~covmatroid.matroid.Matroid`), with no oracle call; so
-``_CUT_CAP`` picks only how queries are answered.  A union of arbitrary
-matroids has no pairs, so its walk fills the bitmap from its oracle.
+Each pair-built handle is the union of the k-rank matroids M(K, k) of its
+pairs, and gets ``_union_bitmap`` over them as the private factory from
+which its walk reads the independent sets, circuits and bases as one
+powerset bitmap of 2^n bits (see :class:`~covmatroid.matroid.Matroid`),
+with no oracle call.  A union of arbitrary matroids has no pairs, so its
+walk fills the bitmap from its oracle.
 
 Blocks, family members and k-rank blocks are read through
 ``core._bits_on``, and a covering's blocks are held to
@@ -46,9 +44,9 @@ from .core import (
 )
 from .matroid import Matroid
 
-#: With at most this many live (positive-capacity) blocks the maximum flow
-#: is evaluated as the minimum cut over block subsets instead of by
-#: augmenting paths; at this size the pruned cut table stays short.
+#: With at most this many overlapping live (positive-capacity) blocks the
+#: maximum flow is evaluated as the minimum cut over block subsets instead
+#: of by augmenting paths; at this size the pruned cut table stays short.
 _CUT_CAP = 10
 
 
@@ -212,25 +210,6 @@ def _union_bitmap(pairs: Sequence[tuple[int, int]], lacks: Sequence[int]) -> int
     return family
 
 
-def _cut_matroid(ground: GroundSet, pairs: Sequence[tuple[int, int]],
-                 cuts: Sequence[tuple[int, int]], rank: Callable[[int], int],
-                 provenance: str) -> Matroid:
-    """The handle whose independent sets meet every (elements, capacity)
-    cut within capacity, which must be the union of the k-rank matroids of
-    the (block, capacity) ``pairs``; those fill the walk's bitmap
-    factory."""
-
-    def indep(bits: int) -> bool:
-        for only, capsum in cuts:
-            if (bits & only).bit_count() > capsum:
-                return False
-        return True
-
-    m = Matroid(ground, indep, rank_hint=rank, provenance=provenance)
-    m._bitmap = partial(_union_bitmap, pairs)
-    return m
-
-
 def _placement_matroid(ground: GroundSet, placer: Callable[[], Callable[[int], bool]],
                        provenance: str) -> Matroid:
     """The handle that hands the elements of a set, in ascending order, by
@@ -262,6 +241,14 @@ def _placement_matroid(ground: GroundSet, placer: Callable[[], Callable[[int], b
                    provenance=provenance)
 
 
+def _partition_rank(pairs: Sequence[tuple[int, int]], bits: int) -> int:
+    r = 0
+    for bb, k in pairs:
+        c = (bits & bb).bit_count()
+        r += c if c < k else k
+    return r
+
+
 def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
                       caps: Sequence[int], provenance: str) -> Matroid:
     """A handle on the maximum bipartite flow between elements and
@@ -271,21 +258,33 @@ def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
 
     Zero-capacity blocks are dropped first: such a block takes no element,
     so it can never improve a cut or an assignment.  The path is chosen once,
-    by the number of live blocks left:
+    from the live blocks left:
 
-    * at most ``_CUT_CAP``: a cut handle.  The flow value is the minimum
-      cut over block subsets B (max-flow min-cut).  The elements whose
-      every admissible block lies in B must fit within B's total capacity,
-      and the flow equals |X| minus the worst deficiency.  The table keeps
-      the cuts in the order the block subsets are met, unsorted.
+    * pairwise disjoint, however many: a cut handle whose cuts are the live
+      blocks, plus U minus their union with capacity 0.  The flow is the
+      partition sum of min(|X ∩ K|, k) (Edmonds and Fulkerson, J. Res. NBS
+      69B, 1965).
+    * overlapping, at most ``_CUT_CAP``: a cut handle on the minimum cut
+      over block subsets B (max-flow min-cut).  The elements whose every
+      admissible block lies in B must fit within B's total capacity, and
+      the flow equals |X| minus the worst deficiency.  The table keeps the
+      cuts in the order the block subsets are met, unsorted.
     * more: a placement handle, by augmenting paths from an empty
       assignment on every query.
 
-    Neither path keeps per-handle state that grows with queries.  Both
-    get the walk's bitmap factory over the live (block, capacity) pairs.
+    A set is independent on a cut handle iff it meets every cut within
+    capacity.  No path keeps per-handle state that grows with queries, and
+    each gets the walk's bitmap factory over the live pairs.
     """
     live = tuple((bb, k) for bb, k in zip(block_bits, caps) if k > 0)
-    if len(live) <= _CUT_CAP:
+    covered = 0
+    for bb, _ in live:
+        covered |= bb
+    if sum(bb.bit_count() for bb, _ in live) == covered.bit_count():
+        rest = ground.full_mask & ~covered
+        cuts = live + ((rest, 0),) if rest else live
+        rank = partial(_partition_rank, live)
+    elif len(live) <= _CUT_CAP:
         # Union and total capacity of each subset of the live blocks.
         unions = [0]
         capsums = [0]
@@ -308,24 +307,25 @@ def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
                 if d > deficiency:
                     deficiency = d
             return bits.bit_count() - deficiency
+    else:
+        adj = tuple(
+            tuple(i for i, (bb, _) in enumerate(live) if bb >> e & 1)
+            for e in range(ground.n)
+        )
+        placer = partial(_augmenter, tuple(k for _, k in live), adj)
+        m = _placement_matroid(ground, placer, provenance)
+        m._bitmap = partial(_union_bitmap, live)
+        return m
 
-        return _cut_matroid(ground, live, cuts, rank, provenance)
-    caps = tuple(k for _, k in live)
-    adj = tuple(
-        tuple(i for i, (bb, _) in enumerate(live) if bb >> e & 1)
-        for e in range(ground.n)
-    )
-    m = _placement_matroid(ground, partial(_augmenter, caps, adj), provenance)
+    def indep(bits: int) -> bool:
+        for only, capsum in cuts:
+            if (bits & only).bit_count() > capsum:
+                return False
+        return True
+
+    m = Matroid(ground, indep, rank_hint=rank, provenance=provenance)
     m._bitmap = partial(_union_bitmap, live)
     return m
-
-
-def _partition_rank(pairs: Sequence[tuple[int, int]], bits: int) -> int:
-    r = 0
-    for bb, k in pairs:
-        c = (bits & bb).bit_count()
-        r += c if c < k else k
-    return r
 
 
 def k_rank_matroid(ground: GroundSet, block: SubsetMask, k: int) -> Matroid:
@@ -336,20 +336,13 @@ def k_rank_matroid(ground: GroundSet, block: SubsetMask, k: int) -> Matroid:
         raise ValidationError("k must be an integer")
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    bits = _bits_on(ground, block)
-    pairs = ((bits, k),)
-    rest = ground.full_mask & ~bits
-    # The cut of loops U - K adds nothing to the rank, so only K is summed.
-    cuts = pairs + ((rest, 0),) if rest else pairs
-    return _cut_matroid(ground, pairs, cuts, partial(_partition_rank, pairs),
-                        "k-rank")
+    return _matching_matroid(ground, [_bits_on(ground, block)], [k], "k-rank")
 
 
 def partition_matroid(p: PartitionWitness) -> Matroid:
     """Independent sets meet each partition block in at most its capacity."""
-    pairs = tuple((b.bits, k) for b, k in zip(p.blocks, p.capacities))
-    return _cut_matroid(p.covering.ground, pairs, pairs,
-                        partial(_partition_rank, pairs), "partition")
+    return _matching_matroid(p.covering.ground, [b.bits for b in p.blocks],
+                             p.capacities, "partition")
 
 
 def _partitioner(oracles: Sequence[Callable[[int], bool]]) -> Callable[[int], bool]:
@@ -495,9 +488,9 @@ def partition_circuit_matroid(p: PartitionWitness) -> Matroid:
     """The matroid whose circuits are exactly the partition blocks:
     independent sets meet each block P in at most |P| - 1 elements.
     Stated capacities on the witness are ignored."""
-    pairs = tuple((b.bits, b.cardinality - 1) for b in p.blocks)
-    return _cut_matroid(p.covering.ground, pairs, pairs,
-                        partial(_partition_rank, pairs), "partition-circuit")
+    return _matching_matroid(p.covering.ground, [b.bits for b in p.blocks],
+                             [b.cardinality - 1 for b in p.blocks],
+                             "partition-circuit")
 
 
 def partition_dual_params(p: PartitionWitness) -> tuple[int, ...]:

@@ -61,9 +61,11 @@ def random_covering(rng: random.Random, n: int, m: int, kmax: int = 3,
 
 
 def matching_path(m) -> str:
-    """The builder that made a handle, "cut" or "placement", read from the
-    qualified name of its independence oracle."""
-    return {"_cut_matroid": "cut", "_placement_matroid": "placement"}[
+    """The query path of a handle built from (block, capacity) pairs, read
+    from the qualified name of its independence oracle: "cut" for the
+    matcher's cut handles (disjoint blocks or the min-cut table),
+    "placement" for augmenting paths."""
+    return {"_matching_matroid": "cut", "_placement_matroid": "placement"}[
         m.indep_bits.__qualname__.split(".")[0]]
 
 

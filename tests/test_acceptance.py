@@ -3,7 +3,9 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 print.  Criteria that tolerate documented findings (criterion 4) count and
-report them; everything else is zero-tolerance.
+report them; everything else is zero-tolerance.  One more test states the
+paper's first result, that partition matroids are the covering matroids of
+disjoint blocks.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from covmatroid import (
     upper_approx,
 )
 from covmatroid.cli import main as cli_main
+from covmatroid.oracle import bf_covering_family
 
 from conftest import random_covering
 
@@ -266,6 +269,28 @@ def test_criterion_07_duality():
                 assert regen.independent_family() == dual.independent_family()
 
     report(7, 60.0, work)
+
+
+def test_a_covering_whose_blocks_partition_u_is_that_partition_matroid():
+    """Paper part 1: a partition is a covering whose blocks do not overlap,
+    and then the covering matroid is the partition matroid.  On every set
+    partition of n ≤ 5 with capacities 0..|P| + 1, both handles answer
+    every subset as the sum of min(|X ∩ P|, k) written out here, and list
+    the brute-force union family."""
+    for n in range(1, 6):
+        g = GroundSet(LABELS[:n])
+        for blocks in set_partitions(LABELS[:n]):
+            masks = [g.subset(b).bits for b in blocks]
+            for caps in itertools.product(*(range(len(b) + 2) for b in blocks)):
+                p = PartitionWitness.from_labels(g, blocks, caps)
+                family = bf_covering_family(p.covering)
+                for m in (covering_matroid(p.covering), partition_matroid(p)):
+                    for x in range(1 << n):
+                        r = sum(min((x & b).bit_count(), k)
+                                for b, k in zip(masks, caps))
+                        assert m.rank_bits(x) == r, (p, x)
+                        assert m.indep_bits(x) == (r == x.bit_count()), (p, x)
+                    assert frozenset(m.independent_family()._ordered) == family
 
 
 def test_criterion_08_taxonomy():

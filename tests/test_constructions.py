@@ -637,37 +637,85 @@ def random_query(rng, n):
 class TestMatchingPaths:
     """Both engine paths, forced by ``_CUT_CAP``, against a max-flow that
     shares no code with the package, on 7–14 blocks over up to 64 elements.
-    Either path gets the same bitmap factory for its walk."""
+    Either path gets the same bitmap factory for its walk.  Live blocks
+    that are pairwise disjoint take the partition sum whatever
+    ``_CUT_CAP`` is."""
 
     def instances(self):
+        """(build, source, blocks, capacities, disjoint) for random,
+        overlapping blocks, then for disjoint ones."""
         rng = random.Random(41)
         out = []
         for _ in range(8):
             cov = random_covering(rng, rng.randint(8, 64), rng.randint(7, 14),
                                   kmax=3, kmin=0)
             out.append((covering_matroid, cov, [b.bits for b in cov.blocks],
-                        list(cov.capacities)))
+                        list(cov.capacities), False))
             fam_ = random_indexed_family(rng, rng.randint(8, 64),
                                          rng.randint(7, 14))
             out.append((transversal_matroid, fam_, [m.bits for m in fam_.members],
-                        [1] * len(fam_.members)))
-        assert any(0 in caps for _, _, _, caps in out)
+                        [1] * len(fam_.members), False))
+        assert any(0 in caps for _, _, _, caps, _ in out)
+        return out + self.disjoint_instances()
+
+    @staticmethod
+    def disjoint_instances():
+        """Coverings and indexed families whose 12–16 live blocks are
+        pairwise disjoint and leave some elements out.  A covering's
+        capacity-0 blocks hold those elements, and two more overlap the
+        live blocks; a family also has an empty member."""
+        rng = random.Random(53)
+        out = []
+        for _ in range(4):
+            n = rng.randint(24, 64)
+            g = GroundSet(f"x{i}" for i in range(n))
+            order = rng.sample(range(n), n)
+            live = rng.randint(12, 16)
+            taken = rng.randint(live, n - 2)
+            ends = [0, *sorted(rng.sample(range(1, taken), live - 1)), taken]
+            parts = [sum(1 << e for e in order[a:b]) for a, b in zip(ends, ends[1:])]
+            dead = [sum(1 << e for e in order[taken:])]
+            while len(dead) < 3:
+                b = sum(1 << e for e in rng.sample(range(n), rng.randint(2, n)))
+                if b not in parts and b not in dead:
+                    dead.append(b)
+            pairs = ([(b, rng.randint(1, 3)) for b in parts]
+                     + [(b, 0) for b in dead])
+            rng.shuffle(pairs)
+            cov = CapacitatedCovering(g, tuple(g.mask(b) for b, _ in pairs),
+                                      tuple(k for _, k in pairs))
+            out.append((covering_matroid, cov, [b for b, _ in pairs],
+                        [k for _, k in pairs], True))
+            fam_ = IndexedFamily(g, tuple(g.mask(b) for b in [*parts, 0]))
+            out.append((transversal_matroid, fam_, [*parts, 0],
+                        [1] * (live + 1), True))
         return out
 
     @pytest.mark.parametrize("cut_cap", [0, 14])
     def test_indep_and_rank_match_max_flow(self, monkeypatch, cut_cap):
         monkeypatch.setattr(constructions, "_CUT_CAP", cut_cap)
         rng = random.Random(43 + cut_cap)
-        for build, source, blocks, caps in self.instances():
+        for build, source, blocks, caps, disjoint in self.instances():
             n = source.ground.n
             m = build(source)
-            assert matching_path(m) == ("placement" if cut_cap == 0 else "cut")
+            assert matching_path(m) == ("cut" if disjoint or cut_cap else "placement")
             assert m._bitmap is not None
             for _ in range(25):
                 bits = random_query(rng, n)
                 flow = edmonds_karp(bits, blocks, caps)
                 assert m.rank_bits(bits) == flow
                 assert m.indep_bits(bits) == (flow == bits.bit_count())
+
+    def test_twelve_disjoint_blocks_take_the_partition_sum(self):
+        """Past ``_CUT_CAP`` = 10 live blocks, disjoint ones still get a cut
+        handle: no augmenting path answers a query."""
+        g = GroundSet(f"x{i}" for i in range(24))
+        cov = CapacitatedCovering(g, [g.mask(0b11 << 2 * i) for i in range(12)],
+                                  [1] * 12)
+        m = covering_matroid(cov)
+        assert matching_path(m) == "cut"
+        assert m.rank_bits(g.full_mask) == 12
+        assert m.indep_bits(0x555555) and not m.indep_bits(0b11)
 
     def test_slice_of_ten_blocks_equals_k_rank(self):
         rng = random.Random(47)

@@ -319,10 +319,13 @@ _RANDOM_MATROIDS = {
 
 def _check_enumerations(kind):
     """Each enumeration of a primal and its dual against the definitions;
-    the dual's bases first from a cold primal, then from a walked one."""
+    the dual's bases first from a cold primal, then from a walked one.
+    Returns the primals."""
     rng = random.Random(f"enumerations:{kind}")
+    primals = []
     for n in (1, 3, 5, 7, 8, 9, 10, 11):
         m = _RANDOM_MATROIDS[kind](rng, n)
+        primals.append(m)
         dual_bases = scan_definitions(m.dual())[2]
         assert m.dual().bases()._ordered == dual_bases
         assert m.dual().dual().bases()._ordered == scan_definitions(m)[2]
@@ -331,6 +334,7 @@ def _check_enumerations(kind):
             assert handle.independent_family()._ordered == indep
             assert handle.circuits()._ordered == circuits
             assert handle.bases()._ordered == bases
+    return primals
 
 
 @pytest.mark.parametrize("kind", sorted(_RANDOM_MATROIDS))
@@ -341,8 +345,11 @@ def test_enumerations_match_powerset_definitions(kind):
 @pytest.mark.parametrize("kind", ["covering", "transversal"])
 def test_enumerations_match_powerset_definitions_on_augmenting_paths(
         monkeypatch, kind):
+    """Draws with overlapping live blocks run augmenting paths; disjoint
+    ones (one live block, say) keep the partition sum."""
     monkeypatch.setattr(constructions, "_CUT_CAP", 0)
-    _check_enumerations(kind)
+    paths = [matching_path(m) for m in _check_enumerations(kind)]
+    assert paths.count("placement") >= 3
 
 
 def _count_oracle_calls(m):
