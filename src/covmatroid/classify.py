@@ -5,20 +5,22 @@ witness partitions that regenerate the classified matroid.
 Both witnesses, the parallel classes of a 2-circuit matroid and the circuits
 of a partition-circuit one, are built and checked by one helper,
 ``_witness``, which regenerates the matroid through the given construction
-and diffs the independent families."""
+and diffs the two walks' powerset bitmaps of the independent sets.  So
+``classify`` decodes only the circuits, and the independent sets only when
+it needs the bases (2·r(U) = n)."""
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from .core import Record, SubsetMask, ValidationError, _canonical_sort_key
+from .core import Record, SubsetMask, ValidationError
 from .constructions import (
     CapacitatedCovering,
     PartitionWitness,
     partition_circuit_matroid,
     partition_matroid,
 )
-from .matroid import Matroid
+from .matroid import Matroid, _decode
 
 
 class VerificationError(RuntimeError):
@@ -77,16 +79,19 @@ def is_2_circuit(m: Matroid) -> bool:
 def _witness(m: Matroid, blocks: list[int], k: int,
              construction: Callable[[PartitionWitness], Matroid]) -> PartitionWitness:
     """The witness of ``blocks``, in this order and each of capacity ``k``,
-    checked to regenerate M through ``construction``."""
+    checked to regenerate M through ``construction``: the XOR of the two
+    walks' bitmaps of the independent sets is the bitmap of the sets they
+    differ on, and only it is decoded, to name the first in canonical
+    order.  Neither independent family is listed."""
     ground = m.ground
     witness = PartitionWitness(CapacitatedCovering(
         ground, tuple(ground.mask(b) for b in blocks), (k,) * len(blocks)))
-    regen = construction(witness)
-    diff = m.independent_family().bitset() ^ regen.independent_family().bitset()
+    indep, _, low, high = m._walk()
+    diff = indep ^ construction(witness)._walk()[0]
     if diff:
         raise VerificationError(
             "witness does not regenerate the matroid",
-            SubsetMask(ground, min(diff, key=_canonical_sort_key(ground.n))),
+            SubsetMask(ground, _decode(diff, ground.n, low, high)[0]),
         )
     return witness
 
@@ -97,9 +102,9 @@ def recover_partition_from_2circuit(m: Matroid) -> PartitionWitness:
     transitive), in ascending mask order.
 
     Circuit-free elements become singleton classes.  The recovered witness
-    is verified by regenerating the matroid and diffing independent
-    families; a mismatch raises :class:`VerificationError` carrying the
-    first differing subset in canonical order.
+    is verified by regenerating the matroid and diffing the bitmaps of the
+    independent sets; a mismatch raises :class:`VerificationError` carrying
+    the first differing subset in canonical order.
     """
     circuits = m.circuits()
     if any(c.cardinality != 2 for c in circuits):
@@ -116,7 +121,7 @@ def is_partition_circuit(m: Matroid) -> tuple[bool, PartitionWitness | None]:
     i.e. their sizes sum to n and they union to U; on success returns the
     circuit family as a verified partition witness."""
     circuits = m.circuits()
-    if (sum(len(c) for c in circuits) != m.ground.n
+    if (sum(map(int.bit_count, circuits._ordered)) != m.ground.n
             or circuits.union_mask().bits != m.ground.full_mask):
         return False, None
     return True, _witness(m, circuits._ordered, 0, partition_circuit_matroid)
@@ -131,9 +136,10 @@ def is_double_circuit(m: Matroid) -> bool:
 
 def classify(m: Matroid) -> ClassificationReport:
     """Run all taxonomy predicates and collect witnesses from one walk of
-    M's levels: its circuits, and its independent family to verify a
+    M: its circuits, and its bitmap of independent sets to verify a
     witness."""
-    sizes = tuple(sorted(c.cardinality for c in m.circuits()))
+    # Canonical order lists the circuits by size, so the sizes come sorted.
+    sizes = tuple(map(int.bit_count, m.circuits()._ordered))
     two_circuit = all(s == 2 for s in sizes)
     two_witness = recover_partition_from_2circuit(m) if two_circuit else None
     partition_circuit, pc_witness = is_partition_circuit(m)

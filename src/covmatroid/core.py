@@ -316,8 +316,11 @@ class SetFamily:
     Members are canonically ordered by (cardinality, index-lexicographic),
     so equal families compare equal structurally and serialize identically.
     The masks are kept as integers, each checked against the ground set when
-    the family is built; the ``members`` tuple of :class:`SubsetMask` is
-    built on first access and kept.
+    the family is built.  Two views are built on first use and kept: the
+    ``members`` tuple of :class:`SubsetMask`, and the frozenset of masks that
+    :meth:`bitset`, ``in``, ``==`` and ``hash`` read.  ``SetFamily(...)``
+    builds the frozenset at once, to refuse duplicate members; a family
+    the walk decodes does not, so printing it builds neither view.
     """
 
     __slots__ = ("ground", "_ordered", "_members", "_bitset")
@@ -348,10 +351,10 @@ class SetFamily:
         check."""
         fam = cls.__new__(cls)
         fam.ground = ground
-        fam._fill(ordered, frozenset(ordered))
+        fam._fill(ordered, None)
         return fam
 
-    def _fill(self, ordered: list[int], bitset: frozenset[int]) -> None:
+    def _fill(self, ordered: list[int], bitset: frozenset[int] | None) -> None:
         self._ordered = ordered
         self._bitset = bitset
         self._members: tuple[SubsetMask, ...] | None = None
@@ -377,12 +380,14 @@ class SetFamily:
         return cls(ground, [ground.subset(s) for s in sets])
 
     def __contains__(self, x: SubsetMask) -> bool:
-        return _bits_on(self.ground, x) in self._bitset
+        return _bits_on(self.ground, x) in self.bitset()
 
     def contains_bits(self, bits: int) -> bool:
-        return bits in self._bitset
+        return bits in self.bitset()
 
     def bitset(self) -> frozenset[int]:
+        if self._bitset is None:
+            self._bitset = frozenset(self._ordered)
         return self._bitset
 
     def union_mask(self) -> SubsetMask:
@@ -401,11 +406,11 @@ class SetFamily:
         return (
             isinstance(other, SetFamily)
             and self.ground == other.ground
-            and self._bitset == other._bitset
+            and self.bitset() == other.bitset()
         )
 
     def __hash__(self) -> int:
-        return hash((self.ground, self._bitset))
+        return hash((self.ground, self.bitset()))
 
     def __repr__(self) -> str:
         return "{" + ", ".join(format_set(m) for m in self.members) + "}"

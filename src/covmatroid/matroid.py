@@ -1,9 +1,10 @@
 """Generic matroid over an independence oracle.
 
 Rank, closure and the dual are derived from the oracle.  Independent
-sets, circuits and bases are read off a powerset bitmap of the independent
-family, which a handle built from (block, capacity) pairs computes from
-its pairs and any other handle fills from its oracle.  Greedy rank
+sets, circuits and bases are read off powerset bitmaps of the independent
+sets and of the circuits, each family on first use.  A handle built from
+(block, capacity) pairs computes the first bitmap from its pairs and any
+other handle fills it from its oracle.  Greedy rank
 is correct only because the oracle satisfies the independence axioms;
 handles are therefore produced by the construction functions or by
 :func:`check_independence_axioms`-vetted families.
@@ -153,21 +154,6 @@ def _family_bitmaps(n: int, family_bitmap: Callable[[list[int]], int]
     return indep, _deletions_in(indep, lacks) & ~indep
 
 
-def _bitmap_families(ground: GroundSet, family_bitmap: Callable[[list[int]], int]
-                     ) -> tuple[SetFamily, SetFamily, SetFamily]:
-    """The independent, circuit and base families in canonical order, read
-    off the bitmaps of :func:`_family_bitmaps`.  The bases are the last
-    non-empty level of the independents."""
-    n = ground.n
-    indep, circuits = _family_bitmaps(n, family_bitmap)
-    low, high = _mask_tables(n)
-    independents = _decode(indep, n, low, high)
-    top = bisect_left(independents, independents[-1].bit_count(), key=int.bit_count)
-    return (SetFamily._canonical(ground, independents),
-            SetFamily._canonical(ground, _decode(circuits, n, low, high)),
-            SetFamily._canonical(ground, independents[top:]))
-
-
 class Matroid:
     """A ground set plus an independence oracle over index bitmasks.
 
@@ -180,15 +166,13 @@ class Matroid:
     whose every one-element deletion is independent, so on an oracle that
     breaks I2 it misses sets; every handle the package builds satisfies it.
 
-    A handle is immutable (its oracle is fixed at construction), so its
-    independent, circuit and base families come from one walk on first use
-    and are kept for its lifetime: near the fixed enumeration cap, n ≤
-    ``DEFAULT_ENUM_CAP`` = 22, which the walk checks first, millions of
-    masks.  The walk reads all three off one *powerset bitmap*, an integer
-    of 2^n bits whose bit p stands for the set whose mask is the n-bit
-    reversal of p (see :func:`_bitmap_families`).  The independent
-    family's bitmap comes from a factory that takes the ``_lacks`` bitmaps
-    of the ground set:
+    A handle is immutable (its oracle is fixed at construction), so one walk
+    on first use serves every enumeration and is kept for its lifetime.  It
+    checks the fixed enumeration cap, n ≤ ``DEFAULT_ENUM_CAP`` = 22, first.
+    It keeps two *powerset bitmaps*, of the independent sets and of the
+    circuits: integers of 2^n bits whose bit p stands for the set whose mask
+    is the n-bit reversal of p.  The independent sets' bitmap comes from a
+    factory that takes the ``_lacks`` bitmaps of the ground set:
 
     * a handle that ``constructions`` builds from (block, capacity) pairs
       fills the private ``_bitmap`` with one that computes it from the
@@ -197,12 +181,15 @@ class Matroid:
       alone) fills it level by level from ``indep_bits``, one call per
       non-empty independent set and one per circuit (see :meth:`_fill`).
 
-    A warm :meth:`bases` reads the walk; dual bases are the complements of
-    the primal's.
+    :meth:`independent_family` and :meth:`circuits` each decode their own
+    bitmap on first use and keep the family: near the cap, millions of
+    masks, so a family no one asks for is never listed.  A warm
+    :meth:`bases` is the top level of the independent family; dual bases
+    are the complements of the primal's.
     """
 
     __slots__ = ("ground", "indep_bits", "rank_hint", "provenance", "_bitmap",
-                 "_dual_of", "_families")
+                 "_dual_of", "_walked", "_families")
 
     def __init__(
         self,
@@ -219,7 +206,8 @@ class Matroid:
         self.provenance = provenance
         self._bitmap: Callable[[list[int]], int] | None = None
         self._dual_of: Matroid | None = None
-        self._families: tuple[SetFamily, SetFamily, SetFamily] | None = None
+        self._walked: tuple[int, int, list[int], list[int]] | None = None
+        self._families: list[SetFamily | None] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -290,30 +278,49 @@ class Matroid:
             family |= level
         return family
 
-    def _walk(self) -> tuple[SetFamily, SetFamily, SetFamily]:
-        """The independent, circuit and base families in canonical order,
-        read off the handle's bitmap factory or else its oracle's fill, on
-        first use."""
-        if self._families is None:
-            check_enum_cap(self.ground.n)
-            self._families = _bitmap_families(self.ground,
-                                              self._bitmap or self._fill)
-        return self._families
+    def _walk(self) -> tuple[int, int, list[int], list[int]]:
+        """The powerset bitmaps of the independent sets and of the circuits,
+        from the handle's bitmap factory or else its oracle's fill, and the
+        ``low`` and ``high`` tables :func:`_decode` reads them with; built on
+        first use and kept."""
+        if self._walked is None:
+            n = self.ground.n
+            check_enum_cap(n)
+            self._walked = (*_family_bitmaps(n, self._bitmap or self._fill),
+                            *_mask_tables(n))
+            self._families = [None, None, None]
+        return self._walked
+
+    def _read(self, which: int) -> SetFamily:
+        """The family of the walk's bitmap ``which`` (0 the independent
+        sets, 1 the circuits) in canonical order, decoded on first use and
+        kept."""
+        walked = self._walk()
+        fam = self._families[which]
+        if fam is None:
+            fam = self._families[which] = SetFamily._canonical(
+                self.ground, _decode(walked[which], self.ground.n, *walked[2:]))
+        return fam
 
     def independent_family(self) -> SetFamily:
-        return self._walk()[0]
+        return self._read(0)
 
     def circuits(self) -> SetFamily:
-        """Minimal dependent sets: the dependent one-element extensions of
-        independent sets whose one-element deletions are all independent."""
-        return self._walk()[1]
+        """Minimal dependent sets: the sets outside the independent family
+        whose one-element deletions are all in it."""
+        return self._read(1)
 
     def bases(self) -> SetFamily:
         """Maximal independent sets in canonical order: a walked handle's top
-        level, a dual handle's primal bases complemented (which reverses
-        canonical order within one size), else the independent r(U)-subsets,
-        so a cold handle near the cap keeps no 2^n masks."""
-        if self._families is not None:
+        level of the independent family, a dual handle's primal bases
+        complemented (which reverses canonical order within one size), else
+        the independent r(U)-subsets, so a cold handle near the cap keeps no
+        2^n masks."""
+        if self._walked is not None:
+            if self._families[2] is None:
+                indep = self.independent_family()._ordered
+                top = bisect_left(indep, indep[-1].bit_count(), key=int.bit_count)
+                self._families[2] = SetFamily._canonical(self.ground, indep[top:])
             return self._families[2]
         check_enum_cap(self.ground.n)
         full = self.ground.full_mask

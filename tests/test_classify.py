@@ -22,8 +22,9 @@ from covmatroid import (
 )
 
 from covmatroid.classify import VerificationError, _witness
+from covmatroid.core import _canonical_sort_key
 
-from conftest import random_covering
+from conftest import matching_path, random_covering, scan_definitions
 
 
 def free_matroid(n):
@@ -102,6 +103,35 @@ class TestVerifyWitness:
         with pytest.raises(VerificationError) as caught:
             _witness(m, [0b1001, 0b0110], 1, lambda witness: regen)
         assert repr(caught.value.differing) == "{a,d}"
+
+    def test_an_oracle_handle_reports_the_same_subset(self):
+        # The same matroid with no bitmap factory: its walk fills the bitmap
+        # from the oracle, and the diff against the regenerated handle's
+        # bitmap names the same subset.
+        g = GroundSet("abcd")
+        blocks = [["a", "d"], ["b", "c"]]
+        m = partition_matroid(PartitionWitness.from_labels(g, blocks, [2, 1]))
+        twin = Matroid(g, m.indep_bits, m.rank_hint)
+        regen = partition_matroid(PartitionWitness.from_labels(g, blocks, [1, 2]))
+        with pytest.raises(VerificationError) as caught:
+            _witness(twin, [0b1001, 0b0110], 1, lambda witness: regen)
+        assert twin._bitmap is None
+        assert repr(caught.value.differing) == "{a,d}"
+
+    def test_a_placement_handle_reports_the_canonical_first_difference(self):
+        # 12 blocks, past the matcher's cut table: the first subset in
+        # canonical order on which the definitions of the two families
+        # disagree.
+        g = GroundSet("abcdefgh")
+        m = transversal_matroid(IndexedFamily.from_labels(g, [
+            "ab", "ab", "bc", "cd", "d", "de", "a", "ef", "b", "c", "e", "fg"]))
+        assert matching_path(m) == "placement"
+        regen = partition_matroid(PartitionWitness.from_labels(
+            g, [["a", "b", "c", "d"], ["e", "f", "g", "h"]], [2, 2]))
+        differ = set(scan_definitions(m)[0]) ^ set(scan_definitions(regen)[0])
+        with pytest.raises(VerificationError) as caught:
+            _witness(m, [0b1111, 0b11110000], 2, lambda witness: regen)
+        assert caught.value.differing.bits == min(differ, key=_canonical_sort_key(8))
 
 
 class TestIsPartitionCircuit:

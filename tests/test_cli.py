@@ -66,7 +66,8 @@ class TestCommands:
         ("independents", "independent_family"), ("circuits", "circuits"),
         ("bases", "bases"), ("dual", "bases")])
     def test_families_print_from_their_masks(self, monkeypatch, command, method):
-        # The printed family stays unboxed: no SubsetMask per member.
+        # The printed family stays unboxed, with no SubsetMask per member,
+        # and without --verify its frozenset of masks is never built.
         families = []
         honest = getattr(Matroid, method)
 
@@ -78,6 +79,7 @@ class TestCommands:
         code, text = run(command, fx("greek10.txt"))
         assert code == 0 and len(text.splitlines()) == len(families[-1])
         assert all(fam._members is None for fam in families)
+        assert all(fam._bitset is None for fam in families)
 
     def test_rank(self):
         code, text = run("rank", fx("example1.txt"), "--set", "a,b,c")

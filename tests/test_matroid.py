@@ -433,6 +433,78 @@ def test_a_placement_handle_enumerates_without_its_oracle():
     assert calls == [0, 1]
 
 
+def _decode_cases(build):
+    """(handle factory, witness kind) pairs, each handle with 2·r(U) ≠ n.
+    Placement handles (12 blocks, past ``_CUT_CAP``): one without a
+    partition witness and one 2-circuit.  Partition handles, and oracle
+    twins of them with no bitmap factory: one without a witness, one
+    2-circuit and one partition-circuit."""
+    if build == "placement":
+        return [
+            (lambda: transversal_matroid(IndexedFamily.from_labels(
+                GroundSet("abcdefgh"), ["ab", "ab", "bc", "cd", "d", "de",
+                                        "a", "ef", "b", "c", "e", "fg"])), None),
+            (lambda: transversal_matroid(IndexedFamily.from_labels(
+                GroundSet("abcdefg"), ["ab", "cd"] + ["e", "f", "g"] * 3 + ["e"])),
+             "2-circuit"),
+        ]
+    g = GroundSet("abcde")
+    cases = []
+    for blocks, caps, kind in (
+            ([["a", "b", "c", "d", "e"]], [2], None),
+            ([["a", "b", "c"], ["d", "e"]], [1, 1], "2-circuit"),
+            ([["a", "b", "c"], ["d", "e"]], [2, 1], "partition-circuit")):
+        witness = PartitionWitness.from_labels(g, blocks, caps)
+        if build == "pairs":
+            cases.append((lambda w=witness: partition_matroid(w), kind))
+        else:
+            b = partition_matroid(witness)
+            cases.append((lambda b=b: Matroid(g, b.indep_bits, b.rank_hint), kind))
+    return cases
+
+
+@pytest.mark.parametrize("build", ["pairs", "placement", "oracle twin"])
+def test_each_family_is_decoded_only_when_asked_for(monkeypatch, build):
+    """The walk keeps its bitmaps, and each family is decoded from its own
+    bitmap on first use: ``circuits()`` alone decodes the circuits, and
+    ``independent_family()`` then ``bases()`` decodes the independent sets
+    once.  ``classify`` with 2·r(U) ≠ n decodes the circuits and never the
+    independent sets, whether or not it builds a partition witness."""
+    decoded = []
+    honest = matroid_module._decode
+
+    def counted(bitmap, *tables):
+        decoded.append(bitmap)
+        return honest(bitmap, *tables)
+
+    monkeypatch.setattr(matroid_module, "_decode", counted)
+    for make, kind in _decode_cases(build):
+        m = make()
+        assert 2 * m.rank_bits(m.ground.full_mask) != m.ground.n
+        if build == "oracle twin":
+            assert m._bitmap is None
+        else:
+            assert matching_path(m) == ("placement" if build == "placement"
+                                        else "cut")
+        m.circuits()
+        m.circuits()
+        assert decoded == [m._walk()[1]]
+        decoded.clear()
+        m = make()
+        m.independent_family()
+        m.bases()
+        m.bases()
+        assert decoded == [m._walk()[0]]
+        decoded.clear()
+        m = make()
+        report = classify(m)
+        assert decoded == [m._walk()[1]]
+        decoded.clear()
+        witness = ("2-circuit" if report.two_circuit_witness else
+                   "partition-circuit" if report.partition_circuit_witness else None)
+        assert witness == kind
+
+
 _OVER_THE_CAP = {
     "covering": lambda rng: covering_matroid(random_covering(rng, 23, 8)),
     "partition": lambda rng: _random_partition(rng, 23),
