@@ -82,7 +82,8 @@ def _witness(m: Matroid, blocks: list[int], k: int,
     checked to regenerate M through ``construction``: the XOR of the two
     walks' bitmaps of the independent sets is the bitmap of the sets they
     differ on, and only it is decoded, to name the first in canonical
-    order.  Neither independent family is listed."""
+    order: the first of the smallest size, as a decoded list is canonical
+    within each size only.  Neither independent family is listed."""
     ground = m.ground
     witness = PartitionWitness(CapacitatedCovering(
         ground, tuple(ground.mask(b) for b in blocks), (k,) * len(blocks)))
@@ -91,7 +92,8 @@ def _witness(m: Matroid, blocks: list[int], k: int,
     if diff:
         raise VerificationError(
             "witness does not regenerate the matroid",
-            SubsetMask(ground, _decode(diff, ground.n, low, high)[0]),
+            SubsetMask(ground, min(_decode(diff, ground.n, low, high),
+                                   key=int.bit_count)),
         )
     return witness
 

@@ -321,9 +321,15 @@ class SetFamily:
     :meth:`bitset`, ``in``, ``==`` and ``hash`` read.  ``SetFamily(...)``
     builds the frozenset at once, to refuse duplicate members; a family
     the walk decodes does not, so printing it builds neither view.
+
+    A decoded family's masks come canonical within each size, and are sorted
+    by size only on the first read of ``_ordered`` (members, iteration,
+    :func:`write_family`, the axiom checker).  ``len``, :meth:`bitset`,
+    ``in``, :meth:`contains_bits`, ``==``, ``hash`` and :meth:`union_mask`
+    never sort.
     """
 
-    __slots__ = ("ground", "_ordered", "_members", "_bitset")
+    __slots__ = ("ground", "_masks", "_by_size", "_members", "_bitset")
 
     def __init__(self, ground: GroundSet, members: Iterable[SubsetMask | int]):
         self.ground = ground
@@ -342,7 +348,7 @@ class SetFamily:
         bitset = frozenset(masks)
         if len(bitset) != len(masks):
             raise ValidationError("duplicate members are forbidden in a set family")
-        self._fill(sorted(bitset, key=_canonical_sort_key(ground.n)), bitset)
+        self._fill(sorted(bitset, key=_canonical_sort_key(ground.n)), True, bitset)
 
     @classmethod
     def _canonical(cls, ground: GroundSet, ordered: list[int]) -> SetFamily:
@@ -351,13 +357,35 @@ class SetFamily:
         check."""
         fam = cls.__new__(cls)
         fam.ground = ground
-        fam._fill(ordered, None)
+        fam._fill(ordered, True, None)
         return fam
 
-    def _fill(self, ordered: list[int], bitset: frozenset[int] | None) -> None:
-        self._ordered = ordered
+    @classmethod
+    def _decoded(cls, ground: GroundSet, masks: list[int]) -> SetFamily:
+        """A family of distinct masks inside the ground set, each size's
+        masks in canonical order but the sizes in any order; no check, and
+        the list is sorted by size in place on the first read of
+        ``_ordered``."""
+        fam = cls.__new__(cls)
+        fam.ground = ground
+        fam._fill(masks, False, None)
+        return fam
+
+    def _fill(self, masks: list[int], by_size: bool,
+              bitset: frozenset[int] | None) -> None:
+        self._masks = masks
+        self._by_size = by_size
         self._bitset = bitset
         self._members: tuple[SubsetMask, ...] | None = None
+
+    @property
+    def _ordered(self) -> list[int]:
+        """The masks in canonical order: a stable sort by size, made once,
+        of a decoded family's masks."""
+        if not self._by_size:
+            self._masks.sort(key=int.bit_count)
+            self._by_size = True
+        return self._masks
 
     @property
     def members(self) -> tuple[SubsetMask, ...]:
@@ -387,12 +415,12 @@ class SetFamily:
 
     def bitset(self) -> frozenset[int]:
         if self._bitset is None:
-            self._bitset = frozenset(self._ordered)
+            self._bitset = frozenset(self._masks)
         return self._bitset
 
     def union_mask(self) -> SubsetMask:
         u = 0
-        for b in self._ordered:
+        for b in self._masks:
             u |= b
         return SubsetMask(self.ground, u)
 
@@ -400,7 +428,7 @@ class SetFamily:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self._ordered)
+        return len(self._masks)
 
     def __eq__(self, other: object) -> bool:
         return (

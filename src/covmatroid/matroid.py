@@ -2,17 +2,17 @@
 
 Rank, closure and the dual are derived from the oracle.  Independent
 sets, circuits and bases are read off powerset bitmaps of the independent
-sets and of the circuits, each family on first use.  A handle built from
-(block, capacity) pairs computes the first bitmap from its pairs and any
-other handle fills it from its oracle.  Greedy rank
-is correct only because the oracle satisfies the independence axioms;
-handles are therefore produced by the construction functions or by
+sets and of the circuits, each family on first use, and sorted by size only
+when their order is read; the bases are the rank level of the first
+bitmap.  A handle built from (block, capacity) pairs computes the first
+bitmap from its pairs and any other handle fills it from its oracle.
+Greedy rank is correct only because the oracle satisfies the independence
+axioms; handles are therefore produced by the construction functions or by
 :func:`check_independence_axioms`-vetted families.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable
 from itertools import combinations, compress, permutations
 
@@ -112,13 +112,26 @@ def _mask_tables(n: int) -> tuple[list[int], list[int]]:
             _flipped_reversals(n - low_bits))
 
 
+def _level(n: int, r: int) -> int:
+    """The powerset bitmap of every r-subset of an n-element ground set:
+    the bits p < 2^n with r ones.  Row m holds those bitmaps for m elements
+    and sizes 0..r; a bit p of m + 1 elements lacks its top bit (p, same
+    size) or holds it (p + 2^m, one larger), so each row is the last one
+    ORed with itself shifted one size up: O(n·r) big-int steps."""
+    row = [1] + [0] * r
+    for m in range(n):
+        for k in range(r, 0, -1):
+            row[k] |= row[k - 1] << (1 << m)
+    return row[r]
+
+
 def _decode(bitmap: int, n: int, low: list[int], high: list[int]) -> list[int]:
-    """The masks of a powerset bitmap's sets in canonical order.  Its
-    binary string holds bit p = 2^n - 1 - j at position j, so it lists the
-    sets of each size in canonical order; the mask at j is the complement of
-    the n-bit reversal of j, read as ``high[j // w] | low[j % w]`` from two
-    tables of about 2^(n/2) entries, w = ``len(low)``.  A stable sort by
-    size then gives canonical order."""
+    """The masks of a powerset bitmap's sets, in canonical order within
+    each size but not sorted by size.  Its binary string holds bit
+    p = 2^n - 1 - j at position j, so it lists the sets of each size in
+    canonical order; the mask at j is the complement of the n-bit reversal
+    of j, read as ``high[j // w] | low[j % w]`` from two tables of about
+    2^(n/2) entries, w = ``len(low)``."""
     flags = format(bitmap, f"0{1 << n}b").encode().translate(_DIGITS)
     width = len(low)
     masks: list[int] = []
@@ -128,7 +141,6 @@ def _decode(bitmap: int, n: int, low: list[int], high: list[int]) -> list[int]:
         end = start + width
         masks += map(high[start // width].__or__, compress(low, flags[start:end]))
         j = flags.find(1, end)
-    masks.sort(key=int.bit_count)
     return masks
 
 
@@ -183,9 +195,11 @@ class Matroid:
 
     :meth:`independent_family` and :meth:`circuits` each decode their own
     bitmap on first use and keep the family: near the cap, millions of
-    masks, so a family no one asks for is never listed.  A warm
-    :meth:`bases` is the top level of the independent family; dual bases
-    are the complements of the primal's.
+    masks, so a family no one asks for is never listed.  A decoded family
+    is sorted by size only when its order is read, so a caller of
+    ``bitset()``, ``len`` or ``in`` never pays the sort.  A warm
+    :meth:`bases` decodes only the rank level of the independent sets'
+    bitmap; dual bases are the complements of the primal's.
     """
 
     __slots__ = ("ground", "indep_bits", "rank_hint", "provenance", "_bitmap",
@@ -252,7 +266,7 @@ class Matroid:
 
     # -- enumerations -----------------------------------------------------
 
-    def _fill(self, lacks: list[int]) -> int:
+    def _fill(self, lacks: list[int], low: list[int], high: list[int]) -> int:
         """The independent family's powerset bitmap, filled level by level
         from the oracle.  The candidates of level k + 1 are the non-empty
         sets whose one-element deletions are all in level k.  The oracle is
@@ -260,10 +274,10 @@ class Matroid:
         binary string, and the rest are level k + 1.  By I2 every non-empty
         independent set and every circuit is a candidate, and nothing else
         is, so a walk makes |I| - 1 + |C| calls.  ``indep_bits`` is read
-        here, at walk time."""
+        here, at walk time; a candidate's mask is read from the walk's
+        ``low`` and ``high`` tables."""
         n = self.ground.n
         indep = self.indep_bits
-        low, high = _mask_tables(n)
         width = len(low)
         family = level = 1
         while level:
@@ -286,19 +300,20 @@ class Matroid:
         if self._walked is None:
             n = self.ground.n
             check_enum_cap(n)
-            self._walked = (*_family_bitmaps(n, self._bitmap or self._fill),
-                            *_mask_tables(n))
+            tables = _mask_tables(n)
+            bitmap = self._bitmap or (lambda lacks: self._fill(lacks, *tables))
+            self._walked = (*_family_bitmaps(n, bitmap), *tables)
             self._families = [None, None, None]
         return self._walked
 
     def _read(self, which: int) -> SetFamily:
         """The family of the walk's bitmap ``which`` (0 the independent
-        sets, 1 the circuits) in canonical order, decoded on first use and
-        kept."""
+        sets, 1 the circuits), decoded on first use and kept; it is sorted
+        by size when its order is first read."""
         walked = self._walk()
         fam = self._families[which]
         if fam is None:
-            fam = self._families[which] = SetFamily._canonical(
+            fam = self._families[which] = SetFamily._decoded(
                 self.ground, _decode(walked[which], self.ground.n, *walked[2:]))
         return fam
 
@@ -311,16 +326,19 @@ class Matroid:
         return self._read(1)
 
     def bases(self) -> SetFamily:
-        """Maximal independent sets in canonical order: a walked handle's top
-        level of the independent family, a dual handle's primal bases
-        complemented (which reverses canonical order within one size), else
-        the independent r(U)-subsets, so a cold handle near the cap keeps no
-        2^n masks."""
+        """Maximal independent sets in canonical order: on a walked handle,
+        the independent sets' bitmap ANDed with the bitmap of every
+        r(U)-subset, decoded (one size needs no sort); a dual handle's
+        primal bases complemented (which reverses canonical order within one
+        size); else the independent r(U)-subsets, so a cold handle near the
+        cap keeps no 2^n masks."""
         if self._walked is not None:
             if self._families[2] is None:
-                indep = self.independent_family()._ordered
-                top = bisect_left(indep, indep[-1].bit_count(), key=int.bit_count)
-                self._families[2] = SetFamily._canonical(self.ground, indep[top:])
+                n = self.ground.n
+                indep, _, low, high = self._walked
+                top = indep & _level(n, self.rank_bits(self.ground.full_mask))
+                self._families[2] = SetFamily._canonical(
+                    self.ground, _decode(top, n, low, high))
             return self._families[2]
         check_enum_cap(self.ground.n)
         full = self.ground.full_mask

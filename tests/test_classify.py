@@ -104,6 +104,18 @@ class TestVerifyWitness:
             _witness(m, [0b1001, 0b0110], 1, lambda witness: regen)
         assert repr(caught.value.differing) == "{a,d}"
 
+    def test_walks_that_differ_at_two_sizes_report_the_smaller_first(self):
+        # The families differ on {a,b}, {a,b,c} and {a,b,d}.  The decoded
+        # difference lists its sets canonically within each size only, the
+        # two 3-sets before {a,b}; the canonical-first subset is {a,b}.
+        g = GroundSet("abcd")
+        blocks = [["a", "b"], ["c", "d"]]
+        m = partition_matroid(PartitionWitness.from_labels(g, blocks, [1, 1]))
+        regen = partition_matroid(PartitionWitness.from_labels(g, blocks, [2, 1]))
+        with pytest.raises(VerificationError) as caught:
+            _witness(m, [0b0011, 0b1100], 1, lambda witness: regen)
+        assert repr(caught.value.differing) == "{a,b}"
+
     def test_an_oracle_handle_reports_the_same_subset(self):
         # The same matroid with no bitmap factory: its walk fills the bitmap
         # from the oracle, and the diff against the regenerated handle's

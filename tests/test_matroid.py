@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -467,20 +468,27 @@ def _decode_cases(build):
 def test_each_family_is_decoded_only_when_asked_for(monkeypatch, build):
     """The walk keeps its bitmaps, and each family is decoded from its own
     bitmap on first use: ``circuits()`` alone decodes the circuits, and
-    ``independent_family()`` then ``bases()`` decodes the independent sets
-    once.  ``classify`` with 2·r(U) ≠ n decodes the circuits and never the
-    independent sets, whether or not it builds a partition witness."""
+    ``independent_family().bitset()`` decodes the independent sets once and
+    leaves them in decode order, unsorted.  ``bases()`` decodes only the
+    rank level of the independent sets' bitmap, whether or not the
+    independent sets were decoded.  ``classify`` with 2·r(U) ≠ n decodes
+    the circuits and never the independent sets, whether or not it builds a
+    partition witness."""
     decoded = []
+    returned = []
     honest = matroid_module._decode
 
     def counted(bitmap, *tables):
         decoded.append(bitmap)
-        return honest(bitmap, *tables)
+        returned.append(honest(bitmap, *tables))
+        return returned[-1]
 
     monkeypatch.setattr(matroid_module, "_decode", counted)
     for make, kind in _decode_cases(build):
         m = make()
-        assert 2 * m.rank_bits(m.ground.full_mask) != m.ground.n
+        n = m.ground.n
+        r = m.rank_bits(m.ground.full_mask)
+        assert 2 * r != n
         if build == "oracle twin":
             assert m._bitmap is None
         else:
@@ -490,11 +498,20 @@ def test_each_family_is_decoded_only_when_asked_for(monkeypatch, build):
         m.circuits()
         assert decoded == [m._walk()[1]]
         decoded.clear()
+        m.bases()
+        assert decoded == [m._walk()[0] & matroid_module._level(n, r)]
+        decoded.clear()
         m = make()
-        m.independent_family()
-        m.bases()
-        m.bases()
+        fam = m.independent_family()
+        fam.bitset()
         assert decoded == [m._walk()[0]]
+        in_decode_order = list(returned[-1])
+        assert in_decode_order != sorted(in_decode_order, key=int.bit_count)
+        assert fam._masks == in_decode_order
+        m.bases()
+        m.bases()
+        assert decoded == [m._walk()[0], m._walk()[0] & matroid_module._level(n, r)]
+        assert fam._masks == in_decode_order
         decoded.clear()
         m = make()
         report = classify(m)
@@ -503,6 +520,111 @@ def test_each_family_is_decoded_only_when_asked_for(monkeypatch, build):
         witness = ("2-circuit" if report.two_circuit_witness else
                    "partition-circuit" if report.partition_circuit_witness else None)
         assert witness == kind
+
+
+@pytest.mark.parametrize("kind", ["dual", "union"])
+def test_an_oracle_filled_walk_builds_the_mask_tables_once(monkeypatch, kind):
+    """A walk that fills its bitmap from the oracle reads candidates with
+    the same ``low`` and ``high`` tables it later decodes with, so each walk
+    builds them exactly once, whichever families it is asked for."""
+    built = []
+    honest = matroid_module._mask_tables
+
+    def counted(n):
+        built.append(n)
+        return honest(n)
+
+    monkeypatch.setattr(matroid_module, "_mask_tables", counted)
+    rng = random.Random(f"mask-tables:{kind}")
+    for n in (1, 4, 8, 10):
+        m = _RANDOM_MATROIDS["covering"](rng, n)
+        handle = m.dual() if kind == "dual" else union_matroids([m, m])
+        assert handle._bitmap is None
+        handle.circuits()
+        handle.independent_family()
+        handle.bases()
+        assert built == [n]
+        built.clear()
+
+
+def _reversal(bits, n):
+    return int(format(bits, f"0{n}b")[::-1], 2) if n else 0
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_the_level_bitmap_holds_exactly_the_r_subsets(n):
+    """Bit p of the level bitmap is set iff the set whose mask is the n-bit
+    reversal of p is an r-subset; decoded, the level lists the r-subsets in
+    the index-lex order of ``combinations``."""
+    for r in range(n + 1):
+        subsets = [sum(1 << i for i in c) for c in combinations(range(n), r)]
+        level = matroid_module._level(n, r)
+        assert level == sum(1 << _reversal(b, n) for b in subsets)
+        if n:
+            tables = matroid_module._mask_tables(n)
+            assert matroid_module._decode(level, n, *tables) == subsets
+
+
+def _covering(rng, n):
+    return covering_matroid(random_covering(rng, n, rng.randint(2, 6), kmax=2, kmin=0))
+
+
+_LEVEL_HANDLES = {
+    "cut": _covering,
+    "placement": _covering,
+    "partition": _random_partition,
+    "dual": lambda rng, n: _covering(rng, n).dual(),
+    "union": lambda rng, n: union_matroids([_covering(rng, n),
+                                            _random_partition(rng, n)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LEVEL_HANDLES))
+def test_walked_bases_are_the_top_level_of_the_sorted_independents(
+        monkeypatch, kind):
+    """A walked ``bases()`` decodes only the rank level of the independent
+    sets' bitmap; asked for before or after the independent sets, it is
+    their largest members, in order.  With no cut table, coverings whose
+    live blocks overlap take augmenting paths."""
+    if kind == "placement":
+        monkeypatch.setattr(constructions, "_CUT_CAP", 0)
+    rng = random.Random(f"level-bases:{kind}")
+    paths = []
+    for n in range(1, 10):
+        for bases_first in (True, False):
+            m = _LEVEL_HANDLES[kind](rng, n)
+            if kind in ("cut", "placement"):
+                paths.append(matching_path(m))
+            m.circuits()
+            bases = m.bases()._ordered if bases_first else None
+            indep = m.independent_family()._ordered
+            r = indep[-1].bit_count()
+            top = [b for b in indep if b.bit_count() == r]
+            assert (bases if bases_first else m.bases()._ordered) == top
+    if kind == "cut":
+        assert set(paths) == {"cut"}
+    elif kind == "placement":
+        assert paths.count("placement") >= 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=10), data=st.data())
+def test_a_decoded_family_sorts_only_when_its_order_is_read(n, data):
+    """A family decoded from any powerset bitmap compares and hashes equal
+    to ``SetFamily(...)`` of its masks before it is sorted, and does not
+    sort to do so; its lazily sorted ``_ordered`` is the canonical sort."""
+    bitmap = data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
+    g = GroundSet(f"x{i}" for i in range(n))
+    masks = matroid_module._decode(bitmap, n, *matroid_module._mask_tables(n))
+    decoded = list(masks)
+    fam = SetFamily._decoded(g, masks)
+    built = SetFamily(g, decoded)
+    assert fam == built and hash(fam) == hash(built)
+    assert len(fam) == len(built) and fam.union_mask() == built.union_mask()
+    assert all(fam.contains_bits(b) for b in decoded)
+    assert fam._masks == decoded and not fam._by_size
+    assert fam._ordered == sorted(decoded, key=_canonical_sort_key(n))
+    assert fam._by_size and list(fam.members) == list(built.members)
 
 
 _OVER_THE_CAP = {
