@@ -22,6 +22,7 @@ from covmatroid.io import (
     InputDocument,
     ParseError,
     parse_document,
+    parse_file,
     render_covering_document,
     render_family_document,
 )
@@ -270,3 +271,108 @@ def test_a_header_without_a_kind_or_elements_is_a_parse_error(text, message):
     with pytest.raises(ParseError) as caught:
         parse_document(text)
     assert str(caught.value) == message
+
+
+# The golden corpus of the read path: one malformed document for each error
+# that ``parse_file`` and ``parse_document`` raise, as the bytes of a file.
+# Each spells its lines with some of CRLF, a lone CR, a byte-order mark, "#"
+# comments, blank lines, ``NAME =`` blocks and ``member:`` lines, so a line
+# number is counted as a reader of the file counts it.  An entry holds the
+# line the error names (None: the document as a whole) and its message.
+_HEAD = "format: 1\nkind: covering\nuniverse: a b c\n"
+_CORPUS = [
+    ("no-colon", b"format: 1\r\nkind: covering\r\n\r\nthis line is wrong\r\n",
+     4, "expected 'key: value', got 'this line is wrong'"),
+    ("duplicate-format", b"format: 1\r# again\rformat: 1\r",
+     3, "duplicate format line"),
+    ("format-version", b"\xef\xbb\xbfformat: 2\n", 1, "unsupported format version '2'"),
+    ("duplicate-kind", b"# kind twice\nformat: 1\nkind: covering\n\nkind: partition\n",
+     5, "duplicate kind line"),
+    ("unknown-kind", b"format: 1\r\nkind: graph   # comment\r\n",
+     2, "kind must be one of covering, partition, indexed_family; got 'graph'"),
+    ("duplicate-universe", (_HEAD + "universe: a b c\n").encode(),
+     4, "duplicate universe line"),
+    ("empty-universe", b"format: 1\nkind: covering\nuniverse: , ,  # none\n",
+     3, "universe must list at least one element"),
+    ("repeated-label", b"format: 1\rkind: covering\runiverse: a b a\r",
+     3, "ground set labels must be distinct"),
+    # The repeated label is reported before the '='.
+    ("repeated-label-with-equals", b"format: 1\nkind: covering\nuniverse: p=q p=q\n",
+     3, "ground set labels must be distinct"),
+    ("label-with-equals", "format: 1\nkind: covering\nuniverse: ä p=q\n".encode(),
+     3, "element label 'p=q' contains '='"),
+    ("duplicate-capacity", (_HEAD + "block: K1 = a b k=1\r\nmember: c k=1 k=2\r\n").encode(),
+     5, "duplicate capacity"),
+    ("bad-capacity", (_HEAD + "\n# capacities\nmember: K2= a k=x\n").encode(),
+     6, "bad capacity 'k=x'"),
+    ("unknown-key", (_HEAD + "blocks: a b c\n").encode(), 4, "unknown key 'blocks'"),
+    ("bare-colon", b"format: 1\n  :  \n", 2, "unknown key ''"),
+    # A byte-order mark is dropped only at the start of the file.
+    ("inner-byte-order-mark", "format: 1\n\ufeffkind: covering\n".encode(),
+     2, "unknown key '\\ufeffkind'"),
+    ("missing-format", b"kind: covering\r\nuniverse: a\r\nblock: a\r\n",
+     None, "missing 'format: 1' header"),
+    ("missing-kind", b"format: 1\nuniverse: a\nblock: a\n", None, "missing 'kind' line"),
+    ("missing-universe", b"format: 1\rkind: partition\rblock: a\r",
+     None, "missing 'universe' line"),
+    ("no-blocks", (_HEAD + "# no blocks\n\n").encode(), None, "document lists no blocks"),
+    ("unknown-element", (_HEAD + "block: a b\r\nmember: K2 = b, z k=2\r\n").encode(),
+     5, "unknown element 'z'"),
+    ("empty-block", (_HEAD + "block: a b c\n\nblock: K2 = k=2\n").encode(),
+     None, "covering blocks must be nonempty"),
+    ("repeated-block", (_HEAD + "block: a b\rmember: b c\r# again\rblock: K3 = b a\r").encode(),
+     None, "duplicate covering blocks are not allowed"),
+    ("repeated-partition-block",
+     b"format: 1\nkind: partition\nuniverse: a b\nblock: a\nblock: a\nblock: b\n",
+     None, "duplicate covering blocks are not allowed"),
+    ("union-short-of-universe", (_HEAD + "block: a b\n").encode(),
+     None, "covering blocks must union to the universe"),
+    ("overlapping-partition",
+     b"format: 1\nkind: partition\nuniverse: a b c\nblock: a b\nblock: b c\n",
+     None, "partition blocks must be pairwise disjoint"),
+    ("not-utf-8", b"format: 1\nkind: covering\nuniverse: \xff\n",
+     None, "input is not valid UTF-8"),
+]
+
+
+def _write(tmp_path, data):
+    path = tmp_path / "doc.txt"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("data, line, message",
+                         [case[1:] for case in _CORPUS],
+                         ids=[case[0] for case in _CORPUS])
+def test_golden_corpus_error_and_line(tmp_path, capsys, data, line, message):
+    path = _write(tmp_path, data)
+    with pytest.raises(ParseError) as info:
+        parse_file(path)
+    assert info.value.line == line
+    where = "" if line is None else f"line {line}: "
+    assert str(info.value) == where + message
+    assert main(["independents", path], out=io.StringIO()) == 1
+    assert capsys.readouterr().err == f"error: {where}{message}\n"
+
+
+# Well-formed spellings of one covering, each of which must parse to it.
+_PLAIN = "format: 1\nkind: covering\nuniverse: a b c\nblock: a b k=1\nblock: b c k=2\n"
+_SPELLINGS = {
+    "crlf": _PLAIN.replace("\n", "\r\n").encode(),
+    "lone-cr": _PLAIN.replace("\n", "\r").encode(),
+    "byte-order-mark": b"\xef\xbb\xbf" + _PLAIN.encode(),
+    "comments-and-blank-lines":
+        b"# a covering\n\nformat: 1   # version\nkind: covering\n\n\n"
+        b"universe: a, b, c\n  # blocks\nblock: a b\nblock: b c k=2 # two\n",
+    "named-blocks": b"format: 1\nkind: covering\nuniverse: a b c\n"
+                    b"block: K1 = a b k=1\nblock: K2= c b k=2\n",
+    "member-lines": b"format: 1\nkind: covering\nuniverse: a b c\n"
+                    b"member: a b\nmember: b c k=2\n",
+    "all-of-them": b"\xef\xbb\xbf# a covering\r\nformat: 1\r\rkind: covering\n"
+                   b"universe: a b c\r\nmember: K1 = b, a  # first\rblock: c b k=2\n",
+}
+
+
+@pytest.mark.parametrize("data", list(_SPELLINGS.values()), ids=list(_SPELLINGS))
+def test_golden_corpus_spellings_parse_alike(tmp_path, data):
+    assert parse_file(_write(tmp_path, data)) == parse_document(_PLAIN)
