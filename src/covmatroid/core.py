@@ -19,7 +19,12 @@ DEFAULT_ENUM_CAP = 22
 
 
 class ValidationError(ValueError):
-    """A value failed construction-time validation."""
+    """A value failed construction-time validation; ``block`` is the
+    position of the covering block at fault, if one is."""
+
+    def __init__(self, message: str, block: int | None = None):
+        super().__init__(message)
+        self.block = block
 
 
 class SizeLimitError(RuntimeError):
@@ -56,8 +61,11 @@ class GroundSet:
 
     def subset(self, labels: Iterable[str] = ()) -> SubsetMask:
         bits = 0
-        for lab in labels:
-            bits |= 1 << self.index(lab)
+        try:
+            for lab in labels:
+                bits |= 1 << self._index[lab]
+        except KeyError:
+            raise ValidationError(f"unknown element {lab!r}") from None
         return SubsetMask(self, bits)
 
     def mask(self, bits: int) -> SubsetMask:
@@ -100,11 +108,11 @@ def _check_covering(ground: GroundSet, masks: Iterable[int]) -> None:
     new and together they union to the universe of ``ground``."""
     union = 0
     seen = set()
-    for bits in masks:
+    for i, bits in enumerate(masks):
         if not bits:
-            raise ValidationError("covering blocks must be nonempty")
+            raise ValidationError("covering blocks must be nonempty", i)
         if bits in seen:
-            raise ValidationError("duplicate covering blocks are not allowed")
+            raise ValidationError("duplicate covering blocks are not allowed", i)
         seen.add(bits)
         union |= bits
     if union != ground.full_mask:
@@ -264,50 +272,46 @@ def format_set(x: SubsetMask) -> str:
 _WRITE_BLOCK = 4096
 
 
-def _label_tuples(labels: tuple[str, ...]) -> list[tuple[str, ...]]:
-    """Entry ``b`` is the tuple of ``labels[i]`` over the set bits ``i`` of
-    ``b``, for every ``b`` below ``2 ** len(labels)``."""
-    table: list[tuple[str, ...]] = [()]
-    for lab in labels:
-        table += [t + (lab,) for t in table]
-    return table
+def _label_strings(labels: tuple[str, ...], head: str, tail: str,
+                   used: Iterable[int] | None) -> list[str] | dict[int, str]:
+    """Entry ``x`` is ``head + ",".join(labels of the set bits of x) + tail``:
+    a list over every ``x`` below ``2 ** len(labels)``, or a dict over the
+    ``used`` values, each joined from the strings of its two halves."""
+    j = len(labels) if used is None else len(labels) // 2
+    low, high = [""], [""]
+    for i, lab in enumerate(labels):
+        part = low if i < j else high
+        lab = "," + lab
+        part += [t + lab for t in part]
+    if used is None:
+        return [head + s[1:] + tail for s in low]
+    m = (1 << j) - 1
+    return {x: head + (low[x & m] + high[x >> j])[1:] + tail for x in used}
 
 
 def write_family(fam: SetFamily, out) -> None:
     """Write each member of ``fam`` as :func:`format_set` renders it, one a
     line, in canonical order, at most ``_WRITE_BLOCK`` lines per write.
 
-    Reads the masks, never ``members``.  Labels ``8j..8j+7`` get one table
-    from a byte of the mask to its label tuple, so a member takes at most
-    ⌈n/8⌉ lookups.  A table holds every byte value (the last one 2^(n mod 8)
-    of them), or, for a family with fewer members than a quarter of them,
-    only the values its members use, each joined from its two nibbles.
+    Reads the masks, never ``members``.  A mask's low k = ⌈n/2⌉ bits x and
+    the rest h give its line as one concatenation, ``lo[x] + after[h]``
+    ("{a,b" and ",c}"), or ``alone[h]`` if x is 0 ("{c}", "∅").  The tables
+    hold every half value, or, for a family with fewer members than a
+    quarter of 2^k, only the values its members use.
     """
-    labels = fam.ground.labels
-    ordered = fam._ordered
-    tables: list = []
-    for lo in range(0, len(labels), 8):
-        slot = labels[lo:lo + 8]
-        if 4 * len(ordered) < 1 << len(slot):
-            low, high = _label_tuples(slot[:4]), _label_tuples(slot[4:])
-            tables.append({b: low[b & 15] + high[b >> 4]
-                           for b in {bits >> lo & 255 for bits in ordered}})
-        else:
-            tables.append(_label_tuples(slot))
+    labels, ordered = fam.ground.labels, fam._ordered
+    k = (len(labels) + 1) // 2
+    m = (1 << k) - 1
+    lows = highs = None
+    if 4 * len(ordered) < 1 << k:
+        lows, highs = {b & m for b in ordered}, {b >> k for b in ordered}
+    lo = _label_strings(labels[:k], "{", "", lows)
+    after = _label_strings(labels[k:], ",", "}\n", highs)
+    alone = _label_strings(labels[k:], "{", "}\n", highs)
+    after[0], alone[0] = "}\n", "∅\n"
     for start in range(0, len(ordered), _WRITE_BLOCK):
-        lines = []
-        for bits in ordered[start:start + _WRITE_BLOCK]:
-            if not bits:
-                lines.append("∅\n")
-                continue
-            labs: tuple[str, ...] = ()
-            j = 0
-            while bits:
-                labs += tables[j][bits & 255]
-                bits >>= 8
-                j += 1
-            lines.append("{" + ",".join(labs) + "}\n")
-        out.write("".join(lines))
+        out.write("".join([lo[x] + after[b >> k] if (x := b & m) else alone[b >> k]
+                           for b in ordered[start:start + _WRITE_BLOCK]]))
 
 
 class SetFamily:

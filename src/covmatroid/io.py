@@ -76,15 +76,37 @@ def parse_document(text: str) -> InputDocument:
     raw_blocks: list[tuple[int, list[str], int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if ":" not in line:
+        key, colon, value = line.partition(":")
+        if not colon:
             raise ParseError(f"expected 'key: value', got {line!r}", lineno)
-        key, _, value = line.partition(":")
         key = key.strip()
         value = value.strip()
-        if key == "format":
+        if key == "block" or key == "member":
+            # Labels hold no '=', so the first '=' ends a block name, ``NAME =``,
+            # unless it is the one of a ``k=N`` capacity.
+            eq = value.find("=")
+            if eq >= 0 and value[:eq + 1].replace(",", " ").split()[-1] != "k=":
+                value = value[eq + 1:]
+            elems = value.replace(",", " ").split()
+            k: int | None = None
+            if "k=" in value:
+                tokens, elems = elems, []
+                for tok in tokens:
+                    if tok.startswith("k="):
+                        if k is not None:
+                            raise ParseError("duplicate capacity", lineno)
+                        # int() would also read "+1", "1_0" and non-ASCII digits.
+                        digits = tok[2:]
+                        if not (digits.isascii() and digits.isdigit()):
+                            raise ParseError(f"bad capacity {tok!r}", lineno)
+                        k = int(digits)
+                    else:
+                        elems.append(tok)
+            raw_blocks.append((lineno, elems, 1 if k is None else k))
+        elif key == "format":
             if fmt is not None:
                 raise ParseError("duplicate format line", lineno)
             if value != "1":
@@ -108,30 +130,9 @@ def parse_document(text: str) -> InputDocument:
                 ground = GroundSet(labels)
             except ValidationError as exc:
                 raise ParseError(str(exc), lineno) from None
-            for lab in labels:
-                if "=" in lab:
-                    raise ParseError(f"element label {lab!r} contains '='", lineno)
-        elif key == "block" or key == "member":
-            # Labels hold no '=', so the first '=' ends a block name, ``NAME =``,
-            # unless it is the one of a ``k=N`` capacity.
-            eq = value.find("=")
-            if eq >= 0 and value[:eq + 1].replace(",", " ").split()[-1] != "k=":
-                value = value[eq + 1:]
-            tokens = value.replace(",", " ").split()
-            k: int | None = None
-            elems = []
-            for tok in tokens:
-                if tok.startswith("k="):
-                    if k is not None:
-                        raise ParseError("duplicate capacity", lineno)
-                    # int() would also read "+1", "1_0" and non-ASCII digits.
-                    digits = tok[2:]
-                    if not (digits.isascii() and digits.isdigit()):
-                        raise ParseError(f"bad capacity {tok!r}", lineno)
-                    k = int(digits)
-                else:
-                    elems.append(tok)
-            raw_blocks.append((lineno, elems, 1 if k is None else k))
+            if "=" in value:
+                lab = next(lab for lab in labels if "=" in lab)
+                raise ParseError(f"element label {lab!r} contains '='", lineno)
         else:
             raise ParseError(f"unknown key {key!r}", lineno)
 
@@ -153,23 +154,27 @@ def parse_document(text: str) -> InputDocument:
 
     if kind == "indexed_family":
         return InputDocument(kind, ground, IndexedFamily(ground, masks))
-    # surface covering/partition structural problems as parse-stage errors
+    # surface covering/partition structural problems as parse-stage errors,
+    # an empty or repeated block's at its line
     try:
         presentation = CapacitatedCovering(ground, masks, [k for _, _, k in raw_blocks])
         if kind == "partition":
             presentation = PartitionWitness(presentation)
     except ValidationError as exc:
-        raise ParseError(str(exc)) from None
+        line = None if exc.block is None else raw_blocks[exc.block][0]
+        raise ParseError(str(exc), line) from None
     return InputDocument(kind, ground, presentation)
 
 
 def parse_file(path: str) -> InputDocument:
-    # utf-8-sig drops a byte-order mark, which some editors write first.
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            raise ParseError("input is not valid UTF-8") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # utf-8-sig drops a byte-order mark, which some editors write first;
+    # splitlines then reads CRLF and a lone CR as text mode would.
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise ParseError("input is not valid UTF-8") from None
     return parse_document(text)
 
 

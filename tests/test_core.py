@@ -170,9 +170,20 @@ class RecordingOut:
 @example(n=13, size=2 * _WRITE_BLOCK + 1, seed=0, empty=True, label="elem")
 @example(n=22, size=_WRITE_BLOCK + 1, seed=1, empty=False, label="x")
 @example(n=17, size=40, seed=2, empty=True, label="é_")
+@example(n=1, size=1, seed=0, empty=True, label="x")
+@example(n=9, size=100, seed=3, empty=False, label="x")
+# Every subset of 6 elements: all 8 high halves with an empty low half.
+@example(n=6, size=63, seed=0, empty=True, label="e")
+@example(n=11, size=0, seed=0, empty=True, label="x")
+# 511 and 512 members at n = 22, just below and at a quarter of the 2^11
+# values of a half: only the used values, then every value.
+@example(n=22, size=511, seed=5, empty=False, label="x")
+@example(n=22, size=511, seed=6, empty=True, label="x")
+@example(n=15, size=700, seed=7, empty=True, label="ψώ")
 def test_write_family_prints_what_format_set_prints(n, size, seed, empty, label):
-    # n from 1 to 22 crosses the byte boundaries at 8 and 16 of the label
-    # tables, and the larger families span more than one write block.
+    # n from 1 to 22 splits each mask into halves of ⌈n/2⌉ and ⌊n/2⌋ bits,
+    # even and odd, the labels run to two digits, so they are of uneven
+    # length, and the larger families span more than one write block.
     fam = _random_family(n, size, seed, empty, label)
     out = io.StringIO()
     write_family(fam, out)

@@ -278,7 +278,9 @@ def test_a_header_without_a_kind_or_elements_is_a_parse_error(text, message):
 # Each spells its lines with some of CRLF, a lone CR, a byte-order mark, "#"
 # comments, blank lines, ``NAME =`` blocks and ``member:`` lines, so a line
 # number is counted as a reader of the file counts it.  An entry holds the
-# line the error names (None: the document as a whole) and its message.
+# line the error names (None: the document as a whole) and its message.  An
+# empty or repeated block is named at its own line; a union short of the
+# universe and overlapping partition blocks belong to no one line.
 _HEAD = "format: 1\nkind: covering\nuniverse: a b c\n"
 _CORPUS = [
     ("no-colon", b"format: 1\r\nkind: covering\r\n\r\nthis line is wrong\r\n",
@@ -319,12 +321,12 @@ _CORPUS = [
     ("unknown-element", (_HEAD + "block: a b\r\nmember: K2 = b, z k=2\r\n").encode(),
      5, "unknown element 'z'"),
     ("empty-block", (_HEAD + "block: a b c\n\nblock: K2 = k=2\n").encode(),
-     None, "covering blocks must be nonempty"),
+     6, "covering blocks must be nonempty"),
     ("repeated-block", (_HEAD + "block: a b\rmember: b c\r# again\rblock: K3 = b a\r").encode(),
-     None, "duplicate covering blocks are not allowed"),
+     7, "duplicate covering blocks are not allowed"),
     ("repeated-partition-block",
      b"format: 1\nkind: partition\nuniverse: a b\nblock: a\nblock: a\nblock: b\n",
-     None, "duplicate covering blocks are not allowed"),
+     5, "duplicate covering blocks are not allowed"),
     ("union-short-of-universe", (_HEAD + "block: a b\n").encode(),
      None, "covering blocks must union to the universe"),
     ("overlapping-partition",
