@@ -263,18 +263,21 @@ def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
     * pairwise disjoint, however many: a cut handle whose cuts are the live
       blocks, plus U minus their union with capacity 0.  The flow is the
       partition sum of min(|X ∩ K|, k) (Edmonds and Fulkerson, J. Res. NBS
-      69B, 1965).
+      69B, 1965), and cl(X) is X plus every cut K with |X ∩ K| ≥ k.
     * overlapping, at most ``_CUT_CAP``: a cut handle on the minimum cut
       over block subsets B (max-flow min-cut).  The elements whose every
       admissible block lies in B must fit within B's total capacity, and
-      the flow equals |X| minus the worst deficiency.  The table keeps the
-      cuts in the order the block subsets are met, unsorted.
+      the flow equals |X| minus the worst deficiency D (0 when no cut is
+      deficient), so cl(X) is X plus every cut of deficiency D; a dropped
+      cut is full on X only inside X.  The table keeps the cuts in the
+      order the block subsets are met, unsorted.
     * more: a placement handle, by augmenting paths from an empty
       assignment on every query.
 
     A set is independent on a cut handle iff it meets every cut within
-    capacity.  No path keeps per-handle state that grows with queries, and
-    each gets the walk's bitmap factory over the live pairs.
+    capacity, and gets closure, one pass over the cuts, as the private
+    ``_closure`` hook.  No path keeps per-handle state that grows with
+    queries, and each gets the walk's bitmap factory over the live pairs.
     """
     live = tuple((bb, k) for bb, k in zip(block_bits, caps) if k > 0)
     covered = 0
@@ -284,6 +287,13 @@ def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
         rest = ground.full_mask & ~covered
         cuts = live + ((rest, 0),) if rest else live
         rank = partial(_partition_rank, live)
+
+        def closure(bits: int) -> int:
+            out = bits
+            for bb, k in cuts:
+                if (bits & bb).bit_count() >= k:
+                    out |= bb
+            return out
     elif len(live) <= _CUT_CAP:
         # Union and total capacity of each subset of the live blocks.
         unions = [0]
@@ -307,6 +317,16 @@ def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
                 if d > deficiency:
                     deficiency = d
             return bits.bit_count() - deficiency
+
+        def closure(bits: int) -> int:
+            worst, out = 0, bits
+            for only, capsum in cuts:
+                d = (bits & only).bit_count() - capsum
+                if d > worst:
+                    worst, out = d, bits | only
+                elif d == worst:
+                    out |= only
+            return out
     else:
         adj = tuple(
             tuple(i for i, (bb, _) in enumerate(live) if bb >> e & 1)
@@ -325,6 +345,7 @@ def _matching_matroid(ground: GroundSet, block_bits: Sequence[int],
 
     m = Matroid(ground, indep, rank_hint=rank, provenance=provenance)
     m._bitmap = partial(_union_bitmap, live)
+    m._closure = closure
     return m
 
 

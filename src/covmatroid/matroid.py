@@ -1,11 +1,13 @@
 """Generic matroid over an independence oracle.
 
-Rank, closure and the dual are derived from the oracle.  Independent
-sets, circuits and bases are read off powerset bitmaps of the independent
-sets and of the circuits, each family on first use, and sorted by size only
-when their order is read; the bases are the rank level of the first
-bitmap.  A handle built from (block, capacity) pairs computes the first
-bitmap from its pairs and any other handle fills it from its oracle.
+Rank and the dual are derived from the oracle, and so is closure (n + 1
+rank calls) unless the handle carries its own, as the partition-sum and
+cut-table handles of ``constructions`` do.  Independent sets, circuits and
+bases are read off powerset bitmaps of the independent sets and of the
+circuits, each family on first use, and sorted by size only when their
+order is read; the bases are the rank level of the first bitmap.  A
+handle built from (block, capacity) pairs computes the first bitmap from
+its pairs and any other handle fills it from its oracle.
 Greedy rank is correct only because the oracle satisfies the independence
 axioms; handles are therefore produced by the construction functions or by
 :func:`check_independence_axioms`-vetted families.
@@ -203,7 +205,7 @@ class Matroid:
     """
 
     __slots__ = ("ground", "indep_bits", "rank_hint", "provenance", "_bitmap",
-                 "_dual_of", "_walked", "_families")
+                 "_closure", "_dual_of", "_walked", "_families")
 
     def __init__(
         self,
@@ -219,6 +221,7 @@ class Matroid:
         self.rank_hint = rank_hint
         self.provenance = provenance
         self._bitmap: Callable[[list[int]], int] | None = None
+        self._closure: Callable[[int], int] | None = None
         self._dual_of: Matroid | None = None
         self._walked: tuple[int, int, list[int], list[int]] | None = None
         self._families: list[SetFamily | None] | None = None
@@ -249,8 +252,11 @@ class Matroid:
         return self.rank_bits(_bits_on(self.ground, x))
 
     def closure(self, x: SubsetMask) -> SubsetMask:
-        """All elements whose addition leaves the rank unchanged."""
+        """All elements whose addition leaves the rank unchanged, read off
+        the private ``_closure`` hook when the handle has one."""
         bits = _bits_on(self.ground, x)
+        if self._closure is not None:
+            return SubsetMask(self.ground, self._closure(bits))
         r = self.rank_bits(bits)
         out = bits
         rest = self.ground.full_mask & ~bits

@@ -8,6 +8,8 @@ they can be diffed: their agreement (or any counterexample) is surfaced by
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .core import GroundSet, Record, SetFamily, SubsetMask, ValidationError
 from .core import _bits_on, _check_covering
 from .constructions import (
@@ -73,7 +75,9 @@ class MatroidalSpace(Record):
     capacity but the i-th set to 0, which the paper shows is the same
     matroid.  The operators take no other slices.  Each block is recovered
     once, from its slice, and the covering's :class:`ApproximationSpace`,
-    which :meth:`space` returns, is built with the space.
+    which :meth:`space` returns, is built with the space.  A k-rank space
+    builds its via-covering twin once, on first use, and keeps it outside
+    its fields.
 
     Capacities must all be at least 1: the matroidal representations are
     stated only for positive integers, and a zero capacity would silently
@@ -111,6 +115,11 @@ class MatroidalSpace(Record):
     def space(self) -> ApproximationSpace:
         """The covering as an :class:`ApproximationSpace`."""
         return self._space
+
+    @cached_property
+    def _twin(self) -> MatroidalSpace:
+        """This covering's space on covering slices, built on first use."""
+        return MatroidalSpace(self.covering, via_covering=True)
 
 
 def matroidal_block(ms: MatroidalSpace, i: int) -> SubsetMask:
@@ -200,13 +209,13 @@ def approximation_findings(
     """Diff the matroidal operators against the direct ones on X.
 
     The operators read the slices of ``ms``, except that with
-    ``via_covering`` a k-rank space is first rebuilt as
-    ``MatroidalSpace(ms.covering, via_covering=True)``, so its slices are
-    re-derived from zeroed covering matroids.  An empty list means full
-    agreement.
+    ``via_covering`` a k-rank space reads those of its twin
+    ``MatroidalSpace(ms.covering, via_covering=True)``, whose slices are
+    zeroed covering matroids; the twin is built on the first such call and
+    kept with ``ms``.  An empty list means full agreement.
     """
     if via_covering and not ms.via_covering:
-        ms = MatroidalSpace(ms.covering, via_covering=True)
+        ms = ms._twin
     space = ms.space()
     findings = []
     sl = lower_approx(space, x)

@@ -1,6 +1,7 @@
 import random
 import time
 from collections import deque
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -799,6 +800,88 @@ class TestPastSixtyFourElements:
                     assert 0 <= rx <= min(x.bit_count(), r_full)
                     assert rx <= r_or and r_and <= min(rx, ry)
                     assert r_or + r_and <= rx + ry
+
+
+def rank_call_closure(m, bits):
+    """cl(X) by its definition: X plus every element whose addition leaves
+    ``rank_bits`` unchanged, from n + 1 rank calls."""
+    r = m.rank_bits(bits)
+    out = bits
+    for e in range(m.ground.n):
+        if m.rank_bits(bits | 1 << e) == r:
+            out |= 1 << e
+    return out
+
+
+class TestClosureHook:
+    """The partition-sum and cut-table handles answer closure through their
+    private hook.  On seeded handles from every pair builder (n ≤ 7,
+    capacities 0–3) it equals the closure n + 1 rank calls give, on every
+    subset, and ``loops()`` is U minus the live blocks' union.  Placement
+    handles, duals and unions have no hook."""
+
+    @staticmethod
+    def handles():
+        """(handle, live blocks): partition and partition-circuit matroids,
+        k-rank matroids (k = 0 too), slices, coverings of disjoint blocks
+        with an overlapping capacity-0 block, random coverings, and
+        transversal families of at most 10 members."""
+        rng = random.Random(97)
+        for _ in range(600):
+            n = rng.randint(1, 7)
+            g = GroundSet(f"x{i}" for i in range(n))
+            part = [0] * rng.randint(1, n)
+            for e in range(n):
+                part[rng.randrange(len(part))] |= 1 << e
+            part = [b for b in part if b]
+            caps = [rng.randint(0, 3) for _ in part]
+            cov = CapacitatedCovering(g, [g.mask(b) for b in part], caps)
+            witness = PartitionWitness(cov)
+            yield partition_matroid(witness), [b for b, k in zip(part, caps) if k]
+            yield (partition_circuit_matroid(witness),
+                   [b for b in part if b.bit_count() > 1])
+            yield covering_matroid(cov), [b for b, k in zip(part, caps) if k]
+            if g.full_mask not in part:
+                over = CapacitatedCovering(g, [*cov.blocks, g.full()], [*caps, 0])
+                yield covering_matroid(over), [b for b, k in zip(part, caps) if k]
+            block, k = rng.randrange(1 << n), rng.randint(0, 3)
+            yield k_rank_matroid(g, g.mask(block), k), [block] if k else []
+            cov = random_covering(rng, n, rng.randint(1, 6), kmax=3, kmin=0)
+            live = [b.bits for b, k in zip(cov.blocks, cov.capacities) if k]
+            yield covering_matroid(cov), live
+            i = rng.randrange(cov.m)
+            yield (covering_matroid_slice(cov, i),
+                   [cov.blocks[i].bits] if cov.capacities[i] else [])
+            fam_ = random_indexed_family(rng, n, rng.randint(1, 10))
+            yield transversal_matroid(fam_), [m.bits for m in fam_.members if m.bits]
+
+    def test_hook_equals_rank_call_closure_on_every_subset(self):
+        paths = set()
+        grown = subsets = 0
+        for m, live in self.handles():
+            union = 0
+            for b in live:
+                union |= b
+            disjoint = sum(b.bit_count() for b in live) == union.bit_count()
+            assert matching_path(m) == "cut" and m._closure is not None
+            assert isinstance(m.rank_hint, partial) == disjoint
+            paths.add(disjoint)
+            g = m.ground
+            assert m.loops().bits == g.full_mask & ~union
+            for bits in range(1 << g.n):
+                closure = m.closure(g.mask(bits)).bits
+                assert closure == rank_call_closure(m, bits), (m, live, bits)
+                grown += closure != bits
+                subsets += 1
+        assert paths == {False, True} and 0 < grown < subsets
+
+    def test_placement_dual_and_union_have_no_hook(self):
+        rng = random.Random(101)
+        cov = random_covering(rng, 9, 11, kmax=2)
+        m = covering_matroid(cov)
+        assert matching_path(m) == "placement"
+        for h in (m, m.dual(), union_matroids([m, m])):
+            assert h._closure is None
 
 
 class TestBitmapWalk:

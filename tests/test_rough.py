@@ -321,6 +321,14 @@ class TestSliceViaCoveringMatroid:
         monkeypatch.setattr(rough, "covering_matroid_slice", counting)
         approximation_findings(paper_matroidal, abc.subset("a"), True)
         assert built == [0, 1]
+        # The k-rank space keeps its via-covering twin: a second call builds
+        # no slice and gives the same findings.
+        twin = approximation_findings(paper_matroidal, abc.subset("a"), True)
+        assert built == [0, 1]
+        assert twin == approximation_findings(paper_matroidal, abc.subset("a"))
+        # The twin is no field: the space still equals a fresh one.
+        fresh = MatroidalSpace(paper_matroidal.covering)
+        assert paper_matroidal == fresh and hash(paper_matroidal) == hash(fresh)
         # A space built on covering slices already is not rebuilt.
         alt = MatroidalSpace(paper_matroidal.covering, via_covering=True)
         built.clear()
