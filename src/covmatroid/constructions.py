@@ -34,7 +34,6 @@ from .core import (
     GroundSet,
     Record,
     SetFamily,
-    SizeLimitError,
     SubsetMask,
     ValidationError,
     _bits_on,
@@ -163,28 +162,40 @@ class IndexedFamily(Record):
 def _augmenter(caps: Sequence[int], adj: Sequence[Sequence[int]]) -> Callable[[int], bool]:
     """A fresh ``place`` for bipartite matching: element u is admitted by
     the blocks ``adj[u]``, block i holds up to ``caps[i]`` elements, and u
-    goes in along an augmenting path if there is one; a call without
-    ``seen`` starts a new search.  Each block keeps the list of the
-    elements it holds."""
+    goes in along a shortest augmenting path if there is one (Edmonds and
+    Karp, J. ACM 19(2), 1972).  A block of u's own with room takes u at
+    once; otherwise the search runs breadth-first from u, where x reaches
+    every y held in a block of x not yet met, and x ends the path in a
+    block with room.  Each y met records the x that would take its place,
+    and in which block, so the holders shift back one step along the path.
+    Each block keeps the list of the elements it holds."""
     held: list[list[int]] = [[] for _ in caps]
 
-    def place(u: int, seen: set[int] | None = None) -> bool:
-        if seen is None:
-            seen = set()
+    def place(u: int) -> bool:
         for i in adj[u]:
-            if i in seen:
-                continue
-            seen.add(i)
-            holders = held[i]
-            if len(holders) < caps[i]:
-                holders.append(u)
+            if len(held[i]) < caps[i]:
+                held[i].append(u)
                 return True
-            # Block i is in ``seen``, so the recursion never touches
-            # ``holders`` while it is being scanned.
-            for j, y in enumerate(holders):
-                if place(y, seen):
-                    holders[j] = u
+        came: dict[int, tuple[int, int] | None] = {u: None}  # y: (x, i)
+        met: set[int] = set()
+        queue = [u]
+        for x in queue:
+            for i in adj[x]:
+                if i in met:
+                    continue
+                met.add(i)
+                holders = held[i]
+                if len(holders) < caps[i]:
+                    holders.append(x)
+                    while came[x] is not None:
+                        y, (x, i) = x, came[x]
+                        holders = held[i]
+                        holders[holders.index(y)] = x
                     return True
+                # An element is held by one block, so each y is met once.
+                for y in holders:
+                    came[y] = (x, i)
+                queue += holders
         return False
 
     return place
@@ -216,24 +227,19 @@ def _placement_matroid(ground: GroundSet, placer: Callable[[], Callable[[int], b
     index to ``place`` of one fresh ``placer()``, which says whether each
     one joins those placed.  A set is independent iff none is missed (the
     query stops at the first miss); its rank is its size less the misses.
-    A placement that overflows Python's stack raises
-    :class:`~covmatroid.core.SizeLimitError`."""
+    Both placers, ``_augmenter`` and ``_partitioner``, search breadth-first
+    with parent pointers, so a path of any length is placed."""
 
     def unplaced(bits: int, first_only: bool) -> int:
         place = placer()
         missed = 0
-        try:
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                if not place(low.bit_length() - 1):
-                    missed += 1
-                    if first_only:
-                        break
-        except RecursionError:
-            # The matcher recurses once per block on an augmenting path.
-            raise SizeLimitError(
-                "an augmenting path is deeper than Python's recursion limit") from None
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            if not place(low.bit_length() - 1):
+                missed += 1
+                if first_only:
+                    break
         return missed
 
     return Matroid(ground, lambda bits: not unplaced(bits, True),

@@ -85,8 +85,9 @@ def scan_definitions(m):
 
 def chain_covering(n: int = 1200) -> CapacitatedCovering:
     """n blocks C_1..C_n of capacity 1, with y_i in C_i and C_(i+1) and z in
-    C_1 only.  Placing z, the last element, moves every y_i along one
-    augmenting path, deeper than Python's recursion limit."""
+    C_1 only.  Placing z, the last element, shifts every y_i one block
+    along an augmenting path through all n blocks, so a matcher with a
+    depth limit, such as one recursing once per block, cannot answer."""
     ground = GroundSet([f"y{i}" for i in range(1, n)] + ["z"])
     blocks = ([ground.mask(1 << (n - 1) | 1)]
               + [ground.mask(0b11 << i) for i in range(n - 2)]

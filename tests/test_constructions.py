@@ -14,7 +14,6 @@ from covmatroid import (
     Matroid,
     PartitionWitness,
     SetFamily,
-    SizeLimitError,
     ValidationError,
     check_independence_axioms,
     covering_as_transversal,
@@ -382,19 +381,19 @@ class TestIndexedFamily:
 
 
 class TestDeepAugmentingPath:
-    def test_is_a_size_limit(self):
+    def test_answers_rank_indep_and_closure(self):
+        # z, placed last, moves every y_i one block along a 1,200-block path.
         c = chain_covering()
         g = c.ground
         handles = (covering_matroid(c),
                    transversal_matroid(IndexedFamily(g, c.blocks)))
+        rest = g.full() - g.singleton("z")
         for m in handles:
-            assert m.rank(g.full() - g.singleton("z")) == g.n - 1
-            for query in (m.independent, m.rank):
-                with pytest.raises(SizeLimitError, match="recursion limit"):
-                    query(g.full())
-            # The closure of U - z meets the path only at its last rank call.
-            with pytest.raises(SizeLimitError, match="recursion limit"):
-                m.closure(g.full() - g.singleton("z"))
+            assert matching_path(m) == "placement"
+            assert m.rank(g.full()) == g.n
+            assert m.independent(g.full())
+            assert m.rank(rest) == g.n - 1
+            assert m.closure(rest) == rest
 
 
 class TestTransversal:
@@ -637,14 +636,14 @@ def random_query(rng, n):
 
 class TestMatchingPaths:
     """Both engine paths, forced by ``_CUT_CAP``, against a max-flow that
-    shares no code with the package, on 7–14 blocks over up to 64 elements.
-    Either path gets the same bitmap factory for its walk.  Live blocks
-    that are pairwise disjoint take the partition sum whatever
-    ``_CUT_CAP`` is."""
+    shares no code with the package, on 7–14 blocks over up to 64 elements
+    and on chains of 30–60 blocks.  Either path gets the same bitmap
+    factory for its walk.  Live blocks that are pairwise disjoint take the
+    partition sum whatever ``_CUT_CAP`` is."""
 
     def instances(self):
         """(build, source, blocks, capacities, disjoint) for random,
-        overlapping blocks, then for disjoint ones."""
+        overlapping blocks, then for chains, then for disjoint ones."""
         rng = random.Random(41)
         out = []
         for _ in range(8):
@@ -657,7 +656,26 @@ class TestMatchingPaths:
             out.append((transversal_matroid, fam_, [m.bits for m in fam_.members],
                         [1] * len(fam_.members), False))
         assert any(0 in caps for _, _, _, caps, _ in out)
-        return out + self.disjoint_instances()
+        return out + self.chain_instances() + self.disjoint_instances()
+
+    @staticmethod
+    def chain_instances():
+        """Chains of 30–60 capacity-1 blocks (``chain_covering``) with the
+        elements and the blocks in shuffled order, as coverings and as an
+        indexed family.  Placing a dense set shifts holders back along paths
+        of many blocks, which random blocks rarely need."""
+        rng = random.Random(59)
+        out = []
+        for build in (covering_matroid, transversal_matroid, covering_matroid):
+            chain = chain_covering(rng.randint(30, 60))
+            labels = chain.ground.labels
+            g = GroundSet(rng.sample(labels, len(labels)))
+            blocks = [g.subset(b.labels()) for b in rng.sample(chain.blocks, chain.m)]
+            ones = [1] * len(blocks)
+            source = (CapacitatedCovering(g, blocks, ones)
+                      if build is covering_matroid else IndexedFamily(g, blocks))
+            out.append((build, source, [b.bits for b in blocks], ones, False))
+        return out
 
     @staticmethod
     def disjoint_instances():
@@ -699,10 +717,14 @@ class TestMatchingPaths:
         for build, source, blocks, caps, disjoint in self.instances():
             n = source.ground.n
             m = build(source)
-            assert matching_path(m) == ("cut" if disjoint or cut_cap else "placement")
+            live = sum(k > 0 for k in caps)
+            assert matching_path(m) == (
+                "cut" if disjoint or live <= cut_cap else "placement")
             assert m._bitmap is not None
-            for _ in range(25):
-                bits = random_query(rng, n)
+            # U and U less its last element place a whole chain along paths
+            # of up to dozens of blocks; random sets rarely pass three.
+            queries = [(1 << n) - 1, (1 << n - 1) - 1]
+            for bits in queries + [random_query(rng, n) for _ in range(25)]:
                 flow = edmonds_karp(bits, blocks, caps)
                 assert m.rank_bits(bits) == flow
                 assert m.indep_bits(bits) == (flow == bits.bit_count())
