@@ -443,12 +443,11 @@ def _check_block_index(c: CapacitatedCovering, i: int) -> None:
 
 
 def covering_matroid_slice(c: CapacitatedCovering, i: int) -> Matroid:
-    """Covering matroid with every capacity zeroed except the i-th; equal,
-    as a family, to the k-rank matroid of block i."""
+    """Covering matroid with every capacity zeroed except the i-th: the
+    matching handle of block i alone, as zero-capacity blocks take no
+    element, so equal to the k-rank matroid of block i."""
     _check_block_index(c, i)
-    caps = [0] * c.m
-    caps[i] = c.capacities[i]
-    return _matching_matroid(c.ground, [b.bits for b in c.blocks], caps,
+    return _matching_matroid(c.ground, [c.blocks[i].bits], [c.capacities[i]],
                              "covering")
 
 

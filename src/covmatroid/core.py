@@ -12,7 +12,9 @@ covering's rule (nonempty, distinct, union the universe).
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
+from itertools import repeat
 
 #: The largest ground set that enumerations and powerset scans accept.
 DEFAULT_ENUM_CAP = 22
@@ -295,19 +297,23 @@ def write_family(fam: SetFamily, out) -> None:
 
     Reads the masks, never ``members``.  A mask's low k = ⌈n/2⌉ bits x and
     the rest h give its line as one concatenation, ``lo[x] + after[h]``
-    ("{a,b" and ",c}"), or ``alone[h]`` if x is 0 ("{c}", "∅").  The tables
-    hold every half value, or, for a family with fewer members than a
-    quarter of 2^k, only the values its members use.
+    ("{a,b" and ",c}"), or ``alone[h]`` if x is 0 ("{c}", "∅"), which is
+    ``after[h]`` with its comma turned into a brace.  The tables hold every
+    half value, or, for a family with fewer members than half of 2^k, only
+    the values its members use.
     """
     labels, ordered = fam.ground.labels, fam._ordered
     k = (len(labels) + 1) // 2
     m = (1 << k) - 1
     lows = highs = None
-    if 4 * len(ordered) < 1 << k:
+    if 2 * len(ordered) < 1 << k:
         lows, highs = {b & m for b in ordered}, {b >> k for b in ordered}
     lo = _label_strings(labels[:k], "{", "", lows)
     after = _label_strings(labels[k:], ",", "}\n", highs)
-    alone = _label_strings(labels[k:], "{", "}\n", highs)
+    if highs is None:
+        alone = ["{" + s[1:] for s in after]
+    else:
+        alone = {h: "{" + s[1:] for h, s in after.items()}
     after[0], alone[0] = "}\n", "∅\n"
     for start in range(0, len(ordered), _WRITE_BLOCK):
         out.write("".join([lo[x] + after[b >> k] if (x := b & m) else alone[b >> k]
@@ -396,15 +402,12 @@ class SetFamily:
         if self._members is None:
             # The masks were checked when the family was built, so the slots
             # are filled directly, with no validating __init__ per member.
-            ordered, ground = self._ordered, self.ground
-            new = object.__new__
-            set_ground = SubsetMask.ground.__set__
-            set_bits = SubsetMask.bits.__set__
-            boxed = [new(SubsetMask) for _ in ordered]
-            for x, bits in zip(boxed, ordered):
-                set_ground(x, ground)
-                set_bits(x, bits)
-            self._members = tuple(boxed)
+            ordered = self._ordered
+            boxed = tuple(map(object.__new__, repeat(SubsetMask, len(ordered))))
+            deque(map(SubsetMask.ground.__set__, boxed,
+                      repeat(self.ground, len(boxed))), 0)
+            deque(map(SubsetMask.bits.__set__, boxed, ordered), 0)
+            self._members = boxed
         return self._members
 
     @classmethod

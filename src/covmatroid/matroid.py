@@ -80,6 +80,11 @@ class AxiomCertificate(Record):
 #: Maps the digits of a binary string to the 0/1 bytes ``compress`` reads.
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
 
+#: :func:`_decode` steps through a chunk of flags member by member when
+#: fewer than one flag in this many is set, and reads it whole otherwise:
+#: a step costs about as much as ``compress`` spends on 16–24 flags.
+_SPARSE = 16
+
 
 def _lacks(n: int) -> list[int]:
     """Entry e is the powerset bitmap of the sets that do not hold element
@@ -99,19 +104,21 @@ def _lacks(n: int) -> list[int]:
     return lacks
 
 
-def _flipped_reversals(k: int) -> list[int]:
-    """Entry j is the complement, in k bits, of the k-bit reversal of j."""
-    table = [0]
-    for _ in range(k):
-        table = [t << 1 | 1 for t in table] + [t << 1 for t in table]
-    return table
-
-
 def _mask_tables(n: int) -> tuple[list[int], list[int]]:
-    """The ``low`` and ``high`` tables :func:`_decode` reads masks from."""
+    """The ``low`` and ``high`` tables :func:`_decode` reads masks from:
+    entry j of each is the complement of the reversal of j, the ``low``
+    one over the last min(n, ⌈n/2⌉ + 1) elements and the ``high`` one over
+    the others.  Each table starts from its full mask; doubling it for
+    bit i of j XORs that bit's element out of the copy."""
     low_bits = min(n, (n + 3) // 2)
-    return ([t << (n - low_bits) for t in _flipped_reversals(low_bits)],
-            _flipped_reversals(n - low_bits))
+    tables = []
+    for bottom, top in ((n - low_bits, n), (0, n - low_bits)):
+        table = [(1 << top) - (1 << bottom)]
+        for e in range(top - 1, bottom - 1, -1):
+            bit = 1 << e
+            table += [t ^ bit for t in table]
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def _level(n: int, r: int) -> int:
@@ -133,16 +140,31 @@ def _decode(bitmap: int, n: int, low: list[int], high: list[int]) -> list[int]:
     p = 2^n - 1 - j at position j, so it lists the sets of each size in
     canonical order; the mask at j is the complement of the n-bit reversal
     of j, read as ``high[j // w] | low[j % w]`` from two tables of about
-    2^(n/2) entries, w = ``len(low)``."""
+    2^(n/2) entries, w = ``len(low)``.
+
+    The flags are read a chunk of w at a time, skipping empty chunks.  A
+    chunk is dense when it or the whole string has at least one flag in
+    ``_SPARSE`` set: ``compress`` then picks its members off ``low`` in one
+    pass.  A sparse chunk, such as one of a rank level or of the circuits,
+    is stepped from member to member with ``bytes.find``."""
     flags = format(bitmap, f"0{1 << n}b").encode().translate(_DIGITS)
+    dense = bitmap.bit_count() * _SPARSE >= len(flags)
     width = len(low)
+    find = flags.find
     masks: list[int] = []
-    j = flags.find(1)
+    append = masks.append
+    j = find(1)
     while j >= 0:
         start = j - j % width
         end = start + width
-        masks += map(high[start // width].__or__, compress(low, flags[start:end]))
-        j = flags.find(1, end)
+        h = high[start // width]
+        if dense or flags.count(1, start, end) * _SPARSE >= width:
+            masks += [h | x for x in compress(low, flags[start:end])]
+            j = find(1, end)
+        else:
+            while 0 <= j < end:
+                append(h | low[j - start])
+                j = find(1, j + 1)
     return masks
 
 
@@ -284,14 +306,15 @@ class Matroid:
         ``low`` and ``high`` tables."""
         n = self.ground.n
         indep = self.indep_bits
-        width = len(low)
+        shift = len(low).bit_length() - 1
+        below = len(low) - 1
         family = level = 1
         while level:
             cand = _deletions_in(level, lacks) ^ 1
             flags = bytearray(format(cand, f"0{1 << n}b").encode())
             j = flags.find(b"1")
             while j >= 0:
-                if not indep(high[j // width] | low[j % width]):
+                if not indep(high[j >> shift] | low[j & below]):
                     flags[j] = ord("0")
                 j = flags.find(b"1", j + 1)
             level = int(flags, 2)

@@ -583,15 +583,25 @@ class TestCoveringMatroidSlice:
             covering_matroid_slice(paper_covering, 2)
 
     def test_equals_k_rank_matroid(self):
+        """Slice i is built from block i's one (block, capacity) pair: it
+        walks to the same bitmaps as ``k_rank_matroid(block_i, k_i)`` and
+        answers rank and closure alike, and its provenance stays
+        "covering"."""
         rng = random.Random(31)
         for _ in range(10):
             cov = random_covering(rng, rng.randint(2, 6), rng.randint(1, 4),
                                   kmax=3, kmin=0)
             for i in range(cov.m):
-                slice_fam = covering_matroid_slice(cov, i).independent_family()
+                slc = covering_matroid_slice(cov, i)
                 kr = k_rank_matroid(cov.ground, cov.blocks[i],
                                     cov.capacities[i])
-                assert slice_fam == kr.independent_family()
+                assert slc.independent_family() == kr.independent_family()
+                assert slc._walk()[:2] == kr._walk()[:2]
+                assert slc.provenance == "covering"
+                for _ in range(8):
+                    x = cov.ground.mask(rng.randrange(1 << cov.ground.n))
+                    assert slc.rank(x) == kr.rank(x)
+                    assert slc.closure(x) == kr.closure(x)
 
 
 def edmonds_karp(bits, blocks, caps):

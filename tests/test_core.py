@@ -175,10 +175,10 @@ class RecordingOut:
 # Every subset of 6 elements: all 8 high halves with an empty low half.
 @example(n=6, size=63, seed=0, empty=True, label="e")
 @example(n=11, size=0, seed=0, empty=True, label="x")
-# 511 and 512 members at n = 22, just below and at a quarter of the 2^11
+# 1023 and 1024 members at n = 22, just below and at half of the 2^11
 # values of a half: only the used values, then every value.
-@example(n=22, size=511, seed=5, empty=False, label="x")
-@example(n=22, size=511, seed=6, empty=True, label="x")
+@example(n=22, size=1023, seed=5, empty=False, label="x")
+@example(n=22, size=1023, seed=6, empty=True, label="x")
 @example(n=15, size=700, seed=7, empty=True, label="ψώ")
 def test_write_family_prints_what_format_set_prints(n, size, seed, empty, label):
     # n from 1 to 22 splits each mask into halves of ⌈n/2⌉ and ⌊n/2⌋ bits,

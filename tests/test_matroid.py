@@ -565,6 +565,59 @@ def test_the_level_bitmap_holds_exactly_the_r_subsets(n):
             assert matroid_module._decode(level, n, *tables) == subsets
 
 
+@pytest.mark.parametrize("n", range(17))
+def test_the_mask_tables_hold_each_positions_mask(n):
+    """Position j of an n-bit powerset string stands for the complement of
+    the n-bit reversal of j, and the two tables give it as
+    ``high[j // w] | low[j % w]``, w = ``len(low)``, for every j."""
+    low, high = matroid_module._mask_tables(n)
+    width = len(low)
+    assert width * len(high) == 1 << n
+    full = (1 << n) - 1
+    assert [high[j // width] | low[j % width] for j in range(1 << n)] == [
+        full ^ _reversal(j, n) for j in range(1 << n)]
+
+
+@st.composite
+def _powerset_bitmaps(draw):
+    """(n, bitmap) for n from 1 to 12: any bitmap, the empty and the full
+    one, one bit, a rank level, or a few scattered bits."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    size = 1 << n
+    bitmap = draw(st.one_of(
+        st.integers(min_value=0, max_value=(1 << size) - 1),
+        st.sampled_from([0, (1 << size) - 1]),
+        st.integers(min_value=0, max_value=size - 1).map(lambda p: 1 << p),
+        st.integers(min_value=0, max_value=n).map(
+            lambda r: matroid_module._level(n, r)),
+        st.sets(st.integers(min_value=0, max_value=size - 1), max_size=40).map(
+            lambda ps: sum(1 << p for p in ps)),
+    ))
+    return n, bitmap
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_powerset_bitmaps())
+def test_decode_lists_the_flipped_reversal_of_each_set_position(case):
+    """The read-out is its definition: position j of the binary string,
+    bit 2^n - 1 - j of the bitmap, gives the complement of the n-bit
+    reversal of j, in order of j.  Reading every chunk whole and stepping
+    every chunk member by member, forced through ``_SPARSE``, give the
+    same list, and so does the density rule between them."""
+    n, bitmap = case
+    size = 1 << n
+    full = size - 1
+    expected = [full ^ _reversal(j, n) for j in range(size)
+                if bitmap >> (size - 1 - j) & 1]
+    tables = matroid_module._mask_tables(n)
+    assert matroid_module._decode(bitmap, n, *tables) == expected
+    for everything_dense in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            # Any set flag reaches 1 << 30 times the width; none reaches 0.
+            mp.setattr(matroid_module, "_SPARSE", 1 << 30 if everything_dense else 0)
+            assert matroid_module._decode(bitmap, n, *tables) == expected
+
+
 def _covering(rng, n):
     return covering_matroid(random_covering(rng, n, rng.randint(2, 6), kmax=2, kmin=0))
 
