@@ -12,9 +12,7 @@ covering's rule (nonempty, distinct, union the universe).
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from itertools import repeat
 
 #: The largest ground set that enumerations and powerset scans accept.
 DEFAULT_ENUM_CAP = 22
@@ -402,12 +400,15 @@ class SetFamily:
         if self._members is None:
             # The masks were checked when the family was built, so the slots
             # are filled directly, with no validating __init__ per member.
-            ordered = self._ordered
-            boxed = tuple(map(object.__new__, repeat(SubsetMask, len(ordered))))
-            deque(map(SubsetMask.ground.__set__, boxed,
-                      repeat(self.ground, len(boxed))), 0)
-            deque(map(SubsetMask.bits.__set__, boxed, ordered), 0)
-            self._members = boxed
+            ordered, ground = self._ordered, self.ground
+            new = object.__new__
+            set_ground = SubsetMask.ground.__set__
+            set_bits = SubsetMask.bits.__set__
+            boxed = [new(SubsetMask) for _ in ordered]
+            for x, bits in zip(boxed, ordered):
+                set_ground(x, ground)
+                set_bits(x, bits)
+            self._members = tuple(boxed)
         return self._members
 
     @classmethod

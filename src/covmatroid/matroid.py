@@ -80,11 +80,6 @@ class AxiomCertificate(Record):
 #: Maps the digits of a binary string to the 0/1 bytes ``compress`` reads.
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
 
-#: :func:`_decode` steps through a chunk of flags member by member when
-#: fewer than one flag in this many is set, and reads it whole otherwise:
-#: a step costs about as much as ``compress`` spends on 16–24 flags.
-_SPARSE = 16
-
 
 def _lacks(n: int) -> list[int]:
     """Entry e is the powerset bitmap of the sets that do not hold element
@@ -140,31 +135,19 @@ def _decode(bitmap: int, n: int, low: list[int], high: list[int]) -> list[int]:
     p = 2^n - 1 - j at position j, so it lists the sets of each size in
     canonical order; the mask at j is the complement of the n-bit reversal
     of j, read as ``high[j // w] | low[j % w]`` from two tables of about
-    2^(n/2) entries, w = ``len(low)``.
-
-    The flags are read a chunk of w at a time, skipping empty chunks.  A
-    chunk is dense when it or the whole string has at least one flag in
-    ``_SPARSE`` set: ``compress`` then picks its members off ``low`` in one
-    pass.  A sparse chunk, such as one of a rank level or of the circuits,
-    is stepped from member to member with ``bytes.find``."""
+    2^(n/2) entries, w = ``len(low)``.  The flags are read a chunk of w at
+    a time, skipping empty chunks: ``compress`` picks a chunk's members off
+    ``low`` and the chunk's high mask is ORed into each."""
     flags = format(bitmap, f"0{1 << n}b").encode().translate(_DIGITS)
-    dense = bitmap.bit_count() * _SPARSE >= len(flags)
     width = len(low)
-    find = flags.find
     masks: list[int] = []
-    append = masks.append
-    j = find(1)
+    j = flags.find(1)
     while j >= 0:
         start = j - j % width
         end = start + width
         h = high[start // width]
-        if dense or flags.count(1, start, end) * _SPARSE >= width:
-            masks += [h | x for x in compress(low, flags[start:end])]
-            j = find(1, end)
-        else:
-            while 0 <= j < end:
-                append(h | low[j - start])
-                j = find(1, j + 1)
+        masks += [h | x for x in compress(low, flags[start:end])]
+        j = flags.find(1, end)
     return masks
 
 

@@ -601,9 +601,7 @@ def _powerset_bitmaps(draw):
 def test_decode_lists_the_flipped_reversal_of_each_set_position(case):
     """The read-out is its definition: position j of the binary string,
     bit 2^n - 1 - j of the bitmap, gives the complement of the n-bit
-    reversal of j, in order of j.  Reading every chunk whole and stepping
-    every chunk member by member, forced through ``_SPARSE``, give the
-    same list, and so does the density rule between them."""
+    reversal of j, in order of j."""
     n, bitmap = case
     size = 1 << n
     full = size - 1
@@ -611,11 +609,6 @@ def test_decode_lists_the_flipped_reversal_of_each_set_position(case):
                 if bitmap >> (size - 1 - j) & 1]
     tables = matroid_module._mask_tables(n)
     assert matroid_module._decode(bitmap, n, *tables) == expected
-    for everything_dense in (True, False):
-        with pytest.MonkeyPatch.context() as mp:
-            # Any set flag reaches 1 << 30 times the width; none reaches 0.
-            mp.setattr(matroid_module, "_SPARSE", 1 << 30 if everything_dense else 0)
-            assert matroid_module._decode(bitmap, n, *tables) == expected
 
 
 def _covering(rng, n):
